@@ -8,13 +8,18 @@ order, so float accumulation is reproducible run to run.
 Micro averaging sums each metric's numerators and denominators across
 documents before dividing; macro averaging takes the component-wise
 arithmetic mean of per-document triples (F1 is averaged directly, not
-recomputed from the averaged recall and precision).  Scoring functions
-are pure, so documents could be scored concurrently and reduced; this
-module keeps the reduction sequential and deterministic.
+recomputed from the averaged recall and precision).  Both averagings go
+through one reducer, for whole reports and for each stratum alike.
+Scoring one document is scoring a corpus of one pair: ``score_all``,
+``stratified_score`` and ``pathology`` are thin calls into this path.
+Scoring functions are pure, so documents could be scored concurrently and
+reduced; this module keeps the reduction sequential and deterministic.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -22,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .conll import parse_conll
-from .errors import DocMismatch
+from .errors import DocMismatch, ParseError
 from .jsonl import parse_jsonl
 from .metrics import (
     MetricCounts,
@@ -32,23 +37,21 @@ from .metrics import (
     PRCounts,
     TALLY_KEYS,
     _conll_avg,
-    add_counts,
     collect_counts,
     normalize_metrics,
     partition_tallies,
     recall_deltas,
     remove_spurious,
-    report_from_counts,
-    score_all,
     zero_counts,
 )
 from .model import (
     CorpusSource,
-    Document,
     Partition,
     Role,
     ScoreTriple,
     SourceFormat,
+    ZERO_TRIPLE,
+    check_same_doc,
     mentions_of,
 )
 from .stats import StatsReport, stats_report
@@ -58,7 +61,6 @@ from .stratify import (
     StratumConfig,
     leakage_count,
     singleton_detection_counts,
-    stratified_score,
     stratum_pairs,
 )
 
@@ -70,9 +72,13 @@ class Averaging(str, Enum):
 
 @dataclass(frozen=True)
 class DocPair:
-    document: Document
+    """The key and response partitions of one document."""
+
     key: Partition
     response: Partition
+
+    def __post_init__(self):
+        check_same_doc(self.key, self.response)
 
 
 def pair_corpora(
@@ -103,39 +109,49 @@ def pair_corpora(
                 f"but {resp_doc.num_tokens} in the response",
                 doc_id=doc_id,
             )
-        pairs.append(DocPair(key_doc, key_part, resp_part))
+        pairs.append(DocPair(key_part, resp_part))
     return tuple(pairs)
 
 
-def _zero_tallies() -> dict[str, int]:
-    return {k: 0 for k in TALLY_KEYS}
+def _sorted(pairs: Iterable[DocPair]) -> list[DocPair]:
+    return sorted(pairs, key=lambda p: p.key.doc_id)
 
 
-def _sum_tallies(acc: dict[str, int], new: dict[str, int]) -> None:
-    for k, v in new.items():
-        acc[k] = acc.get(k, 0) + v
+DocCounts = tuple[dict[MetricId, MetricCounts], dict[str, int]]
 
 
-def _macro_triples(per_doc: Sequence[ScoreTriple]) -> ScoreTriple:
-    n = len(per_doc)
-    if n == 0:
-        return ScoreTriple(0.0, 0.0, 0.0)
+def _doc_counts(
+    key: Partition, response: Partition, wanted: tuple[MetricId, ...]
+) -> DocCounts:
+    return collect_counts(key, response, wanted), partition_tallies(key, response)
+
+
+def _average(
+    counts: Sequence[MetricCounts], zero: MetricCounts, averaging: Averaging
+) -> ScoreTriple:
+    """Micro: one triple from the summed counts.  Macro: the mean triple."""
+    if averaging is Averaging.MICRO:
+        return functools.reduce(operator.add, counts, zero).triple()
+    if not counts:
+        return ZERO_TRIPLE
+    triples = [c.triple() for c in counts]
+    n = len(triples)
     return ScoreTriple(
-        sum(t.recall for t in per_doc) / n,
-        sum(t.precision for t in per_doc) / n,
-        sum(t.f1 for t in per_doc) / n,
+        sum(t.recall for t in triples) / n,
+        sum(t.precision for t in triples) / n,
+        sum(t.f1 for t in triples) / n,
     )
 
 
-def _macro_report(
-    reports: Sequence[MetricReport], metrics: tuple[MetricId, ...]
+def _reduce(
+    docs: Sequence[DocCounts], wanted: tuple[MetricId, ...], averaging: Averaging
 ) -> MetricReport:
+    """One report from per-document counts; tallies always add up."""
     scores = {
-        m: _macro_triples([r.scores[m] for r in reports]) for m in metrics
+        m: _average([counts[m] for counts, _ in docs], zero_counts(m), averaging)
+        for m in wanted
     }
-    tallies = _zero_tallies()
-    for r in reports:
-        _sum_tallies(tallies, dict(r.counts))
+    tallies = {k: sum(t[k] for _, t in docs) for k in TALLY_KEYS}
     return MetricReport(scores, _conll_avg(scores), tallies)
 
 
@@ -145,18 +161,18 @@ def score_corpus(
     averaging: Averaging | str = Averaging.MICRO,
 ) -> MetricReport:
     """One report for a whole corpus under the chosen averaging."""
-    pairs = sorted(pairs, key=lambda p: p.document.doc_id)
     wanted = normalize_metrics(metrics)
-    if Averaging(averaging) is Averaging.MACRO:
-        return _macro_report(
-            [score_all(p.key, p.response, wanted) for p in pairs], wanted
-        )
-    counts: dict[MetricId, MetricCounts] = {m: zero_counts(m) for m in wanted}
-    tallies = _zero_tallies()
-    for pair in pairs:
-        counts = add_counts(counts, collect_counts(pair.key, pair.response, wanted))
-        _sum_tallies(tallies, partition_tallies(pair.key, pair.response))
-    return report_from_counts(counts, tallies)
+    docs = [_doc_counts(p.key, p.response, wanted) for p in _sorted(pairs)]
+    return _reduce(docs, wanted, Averaging(averaging))
+
+
+def score_all(
+    key: Partition,
+    response: Partition,
+    metrics: Optional[Iterable[MetricId | str]] = None,
+) -> MetricReport:
+    """All requested metrics side by side, plus the CoNLL average and counts."""
+    return score_corpus([DocPair(key, response)], metrics)
 
 
 def effective_stratum_config(
@@ -183,62 +199,47 @@ def stratify_corpus(
     averaging: Averaging | str = Averaging.MICRO,
 ) -> StratifiedReport:
     """Corpus-wide stratified report; strata accumulate across documents."""
-    pairs = sorted(pairs, key=lambda p: p.document.doc_id)
-    wanted = normalize_metrics(metrics)
+    pairs = _sorted(pairs)
     config = effective_stratum_config(pairs, config)
+    return _stratified(pairs, config, metrics, Averaging(averaging))
 
-    if Averaging(averaging) is Averaging.MACRO:
-        per_doc = [
-            stratified_score(p.key, p.response, config, wanted) for p in pairs
-        ]
-        per_stratum = {}
-        for stratum in Stratum:
-            present = [r.per_stratum[stratum] for r in per_doc if stratum in r.per_stratum]
-            if present:
-                per_stratum[stratum] = _macro_report(present, wanted)
-        detection = _macro_triples([r.singleton_detection for r in per_doc])
-        return StratifiedReport(
-            per_stratum=per_stratum,
-            singleton_detection=detection,
-            leakage=sum(r.leakage for r in per_doc),
-            config=config,
-            spurious_mentions=sum(r.spurious_mentions for r in per_doc),
-        )
 
-    counts: dict[Stratum, dict[MetricId, MetricCounts]] = {}
-    tallies: dict[Stratum, dict[str, int]] = {}
-    detection_counts = PRCounts()
-    leakage = 0
-    spurious = 0
-    for pair in pairs:
-        for stratum, (key_slice, resp_slice) in stratum_pairs(
-            pair.key, pair.response, config
-        ).items():
-            counts[stratum] = add_counts(
-                counts.get(stratum, {m: zero_counts(m) for m in wanted}),
-                collect_counts(key_slice, resp_slice, wanted),
-            )
-            _sum_tallies(
-                tallies.setdefault(stratum, _zero_tallies()),
-                partition_tallies(key_slice, resp_slice),
-            )
-        detection_counts = detection_counts + singleton_detection_counts(
-            pair.key, pair.response
-        )
-        leakage += leakage_count(pair.key, pair.response, config)
-        spurious += len(mentions_of(pair.response) - mentions_of(pair.key))
-    per_stratum = {
-        stratum: report_from_counts(counts[stratum], tallies[stratum])
-        for stratum in Stratum
-        if stratum in counts
-    }
+def _stratified(
+    pairs: Sequence[DocPair],
+    config: StratumConfig,
+    metrics: Optional[Iterable[MetricId | str]],
+    averaging: Averaging,
+) -> StratifiedReport:
+    """Stratified report under ``config`` as given; macro averages each
+    stratum over the documents that have it."""
+    wanted = normalize_metrics(metrics)
+    strata: dict[Stratum, list[DocCounts]] = {}
+    for p in pairs:
+        for stratum, (key, response) in stratum_pairs(p.key, p.response, config).items():
+            strata.setdefault(stratum, []).append(_doc_counts(key, response, wanted))
+    detection = [singleton_detection_counts(p.key, p.response) for p in pairs]
     return StratifiedReport(
-        per_stratum=per_stratum,
-        singleton_detection=detection_counts.triple(),
-        leakage=leakage,
+        per_stratum={
+            s: _reduce(strata[s], wanted, averaging) for s in Stratum if s in strata
+        },
+        singleton_detection=_average(detection, PRCounts(), averaging),
+        leakage=sum(leakage_count(p.key, p.response, config) for p in pairs),
         config=config,
-        spurious_mentions=spurious,
+        spurious_mentions=sum(
+            len(mentions_of(p.response) - mentions_of(p.key)) for p in pairs
+        ),
     )
+
+
+def stratified_score(
+    key: Partition,
+    response: Partition,
+    config: StratumConfig = StratumConfig(),
+    metrics: Optional[Iterable[MetricId | str]] = None,
+) -> StratifiedReport:
+    """Score each stratum of one document; ``config`` applies as given,
+    without the corpus-level require_named degrade."""
+    return _stratified([DocPair(key, response)], config, metrics, Averaging.MICRO)
 
 
 def pathology_corpus(
@@ -247,15 +248,22 @@ def pathology_corpus(
     averaging: Averaging | str = Averaging.MICRO,
 ) -> PathologyReport:
     """Corpus-level before/after comparison around remove_spurious."""
-    pairs = sorted(pairs, key=lambda p: p.document.doc_id)
+    pairs = _sorted(pairs)
     before = score_corpus(pairs, metrics, averaging)
-    cleaned = [
-        DocPair(p.document, p.key, remove_spurious(p.response, p.key)) for p in pairs
-    ]
+    cleaned = [DocPair(p.key, remove_spurious(p.response, p.key)) for p in pairs]
     after = score_corpus(cleaned, metrics, averaging)
     return PathologyReport(
         before, after, recall_deltas(before, after), before.counts["response_spurious"]
     )
+
+
+def pathology(
+    key: Partition,
+    response: Partition,
+    metrics: Optional[Iterable[MetricId | str]] = None,
+) -> PathologyReport:
+    """Score, strip spurious response mentions, rescore, and report deltas."""
+    return pathology_corpus([DocPair(key, response)], metrics)
 
 
 def corpus_stats_report(
@@ -268,8 +276,22 @@ def load_corpus(
     path: str | Path, fmt: SourceFormat | str, role: Role | str
 ) -> CorpusSource:
     """Read and parse one corpus file in the given format."""
-    fmt = SourceFormat(fmt)
+    parse = parse_conll if SourceFormat(fmt) is SourceFormat.CONLL else parse_jsonl
     with open(path, encoding="utf-8") as stream:
-        if fmt is SourceFormat.CONLL:
-            return parse_conll(stream, role)
-        return parse_jsonl(stream, role)
+        try:
+            return parse(stream, role)
+        except UnicodeDecodeError as exc:
+            line = _undecodable_line(path)
+            raise ParseError(f"invalid UTF-8 ({exc.reason})", line=line) from None
+
+
+def _undecodable_line(path: str | Path) -> Optional[int]:
+    """The first line that is not valid UTF-8: the text reader decodes
+    whole blocks, so its error does not say which line held the bad bytes."""
+    with open(path, "rb") as stream:
+        for lineno, raw in enumerate(stream, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return None

@@ -98,7 +98,8 @@ def iter_jsonl(
             continue
         try:
             record = json.loads(raw)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
+            # The decoder recurses once per nesting level.
             raise ParseError(f"invalid JSON: {exc}", line=lineno) from None
         if not isinstance(record, dict):
             raise SchemaError("each record must be an object", line=lineno)

@@ -1,10 +1,20 @@
 """Coreference metrics: MUC, B3, CEAF, BLANC, LEA, and the CoNLL average.
 
-Every scoring operation is a pure function of two immutable partitions
-over the same document.  Each metric is expressed as addable recall and
-precision counts (numerators and denominators) so multi-document corpora
-can be micro-averaged by summing counts before dividing; the triples
-returned here are the single-document case of the same reduction.
+Every metric is a function of one table per document, ``overlap(key,
+response)``: the key and response chain sizes plus the non-zero cells
+(i, j, |K_i ∩ R_j|) of the key × response contingency table, with rows
+and columns in each partition's canonical chain order.  MUC, B3 and LEA
+compute recall from the table's rows; precision is the same function
+applied to the transposed table, so precision(key, response) equals
+recall(response, key) by construction.  BLANC combines the cells with the
+row and column sums.  CEAF aligns chains separately within each connected
+component of the non-zero cells, since chains sharing no mention add
+nothing to an alignment.
+
+Each metric is expressed as addable recall and precision counts
+(numerators and denominators) so multi-document corpora can be
+micro-averaged by summing counts before dividing; the triples returned
+here are the single-document case of the same reduction.
 
 Conventions shared by all metrics:
   - 0/0 ratios evaluate to 0.
@@ -17,7 +27,6 @@ Conventions shared by all metrics:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Optional
@@ -121,101 +130,196 @@ def _pairs(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _overlap_counter(chain: Chain, other: Partition) -> Counter:
-    """Sizes of this chain's intersections with each chain of ``other``."""
-    by_mention = other.chain_by_mention
-    counts: Counter = Counter()
-    for m in chain.mentions:
-        target = by_mention.get(m)
-        if target is not None:
-            counts[target.chain_id] += 1
-    return counts
+@dataclass(frozen=True)
+class Overlap:
+    """Sparse key × response contingency table of one document.
+
+    ``rows[i]`` maps response chain index j to |K_i ∩ R_j| and holds the
+    non-zero cells only; chain indices follow each partition's canonical
+    order.  A mention on one side only appears in no cell, so a row sum
+    falls short of its chain size by the chain's unmatched mentions.
+    """
+
+    key_sizes: tuple[int, ...]
+    response_sizes: tuple[int, ...]
+    rows: tuple[dict[int, int], ...]
+
+    def transpose(self) -> "Overlap":
+        """The response × key table of the same document."""
+        cols: tuple[dict[int, int], ...] = tuple({} for _ in self.response_sizes)
+        for i, row in enumerate(self.rows):
+            for j, v in row.items():
+                cols[j][i] = v
+        return Overlap(self.response_sizes, self.key_sizes, cols)
+
+    def row_sums(self) -> list[int]:
+        """|K_i ∩ response mentions| per key chain."""
+        return [sum(row.values()) for row in self.rows]
 
 
-def _muc_half(a: Partition, b: Partition) -> tuple[int, int]:
-    """MUC recall counts of ``b`` measured against side ``a``.
+def overlap(key: Partition, response: Partition) -> Overlap:
+    """The overlap table of two partitions of one document."""
+    check_same_doc(key, response)
+    index = {chain.chain_id: j for j, chain in enumerate(response.chains)}
+    by_mention = response.chain_by_mention
+    rows = []
+    for chain in key.chains:
+        row: dict[int, int] = {}
+        for m in chain.mentions:
+            target = by_mention.get(m)
+            if target is not None:
+                j = index[target.chain_id]
+                row[j] = row.get(j, 0) + 1
+        rows.append(row)
+    return Overlap(
+        tuple(map(len, key.chains)), tuple(map(len, response.chains)), tuple(rows)
+    )
 
-    Each a-chain is partitioned by the b-chains; mentions covered by no
-    b-chain count as their own blocks.  Singleton a-chains contribute 0
-    to both counts.
+
+def _dual(half: Callable[[Overlap], tuple], table: Overlap) -> PRCounts:
+    """Recall counts from the table, precision counts from its transpose."""
+    r_num, r_den = half(table)
+    p_num, p_den = half(table.transpose())
+    return PRCounts(r_num, r_den, p_num, p_den)
+
+
+def _muc_half(t: Overlap) -> tuple[int, int]:
+    """MUC recall counts: each key chain is partitioned by the response.
+
+    A key chain of size n split into blocks (one per overlapping response
+    chain, one per mention no response chain covers) keeps n - blocks of
+    its n - 1 links; singletons contribute 0 to both counts.
     """
     num = den = 0
-    by_b = b.chain_by_mention
-    for chain in a.chains:
-        n = len(chain)
-        if n < 2:
-            continue
-        covering: set[str] = set()
-        missing = 0
-        for m in chain.mentions:
-            target = by_b.get(m)
-            if target is None:
-                missing += 1
-            else:
-                covering.add(target.chain_id)
-        blocks = len(covering) + missing
-        num += n - blocks
+    for n, row in zip(t.key_sizes, t.rows):
+        num += sum(row.values()) - len(row)
         den += n - 1
     return num, den
 
 
-def muc_counts(key: Partition, response: Partition) -> PRCounts:
-    check_same_doc(key, response)
-    r_num, r_den = _muc_half(key, response)
-    p_num, p_den = _muc_half(response, key)
-    return PRCounts(r_num, r_den, p_num, p_den)
+def _b3_half(t: Overlap) -> tuple[float, int]:
+    """Sum over key mentions of |K(m) ∩ R(m)| / |K(m)|, and the mention count.
 
-
-def muc(key: Partition, response: Partition) -> ScoreTriple:
-    """Link-based score counting the minimum missing/extra links."""
-    return muc_counts(key, response).triple()
-
-
-def _b3_half(a: Partition, b: Partition) -> tuple[float, int]:
-    """Sum over a-mentions of |A(m) ∩ B(m)| / |A(m)|, and the mention count.
-
-    Grouped per chain: mentions of A falling in the same b-chain share the
-    same term, so the per-chain sum is sum_j |A ∩ B_j|^2 / |A|.
+    Grouped per chain: mentions of K falling in the same response chain
+    share the same term, so the per-chain sum is sum_j |K ∩ R_j|^2 / |K|.
     """
     num = 0.0
     den = 0
-    for chain in a.chains:
-        n = len(chain)
+    for n, row in zip(t.key_sizes, t.rows):
         den += n
-        overlap = _overlap_counter(chain, b)
-        num += sum(v * v for v in overlap.values()) / n
+        num += sum(v * v for v in row.values()) / n
     return num, den
 
 
-def b3_counts(key: Partition, response: Partition) -> PRCounts:
-    check_same_doc(key, response)
-    r_num, r_den = _b3_half(key, response)
-    p_num, p_den = _b3_half(response, key)
-    return PRCounts(r_num, r_den, p_num, p_den)
+def _lea_half(t: Overlap) -> tuple[float, int]:
+    """Size-weighted resolution of key entities, and the total weight.
+
+    link(e) = C(|e|, 2) for |e| >= 2; a singleton is resolved (self-link)
+    only if its mention forms a singleton chain in the response.
+    """
+    num = 0.0
+    den = 0
+    for n, row in zip(t.key_sizes, t.rows):
+        den += n
+        if n == 1:
+            if any(t.response_sizes[j] == 1 for j in row):
+                num += 1.0
+            continue
+        hits = sum(_pairs(v) for v in row.values())
+        num += n * (hits / _pairs(n))
+    return num, den
 
 
-def b_cubed(key: Partition, response: Partition) -> ScoreTriple:
-    """Per-mention overlap score; correctly isolated singletons score 1."""
-    return b3_counts(key, response).triple()
+def _blanc(t: Overlap) -> BlancCounts:
+    """Coref and non-coref link counts over each side's own mentions.
+
+    The non-coref intersection is counted by inclusion-exclusion over the
+    shared mentions: pairs neither side links = all shared pairs minus
+    pairs linked in key minus pairs linked in response plus pairs linked
+    in both.
+    """
+    coref_both = sum(_pairs(v) for row in t.rows for v in row.values())
+    row_sums = t.row_sums()
+    noncoref_both = (
+        _pairs(sum(row_sums))
+        - sum(map(_pairs, row_sums))
+        - sum(map(_pairs, t.transpose().row_sums()))
+        + coref_both
+    )
+    coref_key = sum(map(_pairs, t.key_sizes))
+    coref_resp = sum(map(_pairs, t.response_sizes))
+    noncoref_key = _pairs(sum(t.key_sizes)) - coref_key
+    noncoref_resp = _pairs(sum(t.response_sizes)) - coref_resp
+    return BlancCounts(
+        coref=PRCounts(coref_both, coref_key, coref_both, coref_resp),
+        noncoref=PRCounts(noncoref_both, noncoref_key, noncoref_both, noncoref_resp),
+    )
 
 
-def phi3(k: Chain, r: Chain) -> float:
-    """CEAF mention similarity: size of the span intersection."""
-    return float(len(k.mention_set & r.mention_set))
+def _components(t: Overlap) -> Iterable[list[tuple[int, int, int]]]:
+    """The non-zero cells (i, j, v), grouped by connected component.
+
+    Two cells are connected when they share a key or a response chain.
+    Components and the cells inside them keep canonical (i, j) order.
+    """
+    n_key = len(t.key_sizes)
+    root = list(range(n_key + len(t.response_sizes)))
+
+    def find(node: int) -> int:
+        while root[node] != node:
+            root[node] = root[root[node]]
+            node = root[node]
+        return node
+
+    cells = [(i, j, v) for i, row in enumerate(t.rows) for j, v in sorted(row.items())]
+    for i, j, _ in cells:
+        root[find(n_key + j)] = find(i)
+    groups: dict[int, list[tuple[int, int, int]]] = {}
+    for cell in cells:
+        groups.setdefault(find(cell[0]), []).append(cell)
+    return groups.values()
 
 
-def phi4(k: Chain, r: Chain) -> float:
-    """CEAF entity similarity: 2|K∩R| / (|K|+|R|); phi4(K, K) = 1."""
-    return 2.0 * len(k.mention_set & r.mention_set) / (len(k) + len(r))
+def _align(t: Overlap, variant: CeafVariant) -> tuple[list[tuple[int, int]], float]:
+    """Optimal chain matching within the non-zero cells, and its total.
+
+    phi3 (mention) similarity is |K ∩ R|, phi4 (entity) is
+    2|K ∩ R| / (|K| + |R|).  One rectangular assignment problem is solved
+    per connected component of the non-zero cells, with rows and columns
+    in canonical chain order, which fixes tie-breaking.  Returns index
+    pairs, possibly including zero-similarity pairs inside a component.
+    """
+
+    def phi(i: int, j: int, v: int) -> float:
+        if variant is CeafVariant.MENTION:
+            return float(v)
+        return 2.0 * v / (t.key_sizes[i] + t.response_sizes[j])
+
+    pairs: list[tuple[int, int]] = []
+    matched: list[float] = []
+    for cells in _components(t):
+        key_ids = sorted({i for i, _, _ in cells})
+        resp_ids = sorted({j for _, j, _ in cells})
+        row_of = {i: r for r, i in enumerate(key_ids)}
+        col_of = {j: c for c, j in enumerate(resp_ids)}
+        block = np.zeros((len(key_ids), len(resp_ids)))
+        for i, j, v in cells:
+            block[row_of[i], col_of[j]] = phi(i, j, v)
+        rows, cols = linear_sum_assignment(block, maximize=True)
+        pairs.extend((key_ids[r], resp_ids[c]) for r, c in zip(rows, cols))
+        matched.extend(block[rows, cols].tolist())
+    return pairs, math.fsum(matched)
 
 
 @dataclass(frozen=True)
 class Alignment:
     """A one-to-one chain matching and its total similarity.
 
-    Zero-similarity matched pairs are retained; ``total_similarity`` is an
-    exactly rounded sum (math.fsum), so equal-value optima on transposed
-    inputs produce bitwise-equal totals.
+    ``pairs`` holds min(|K|, |R|) (key chain id, response chain id) pairs:
+    the optimal matching, with chains it leaves unmatched paired with
+    zero similarity in canonical chain order, sorted by key chain.
+    ``total_similarity`` is an exactly rounded sum (math.fsum), so
+    equal-value optima on transposed inputs produce bitwise-equal totals.
     """
 
     pairs: tuple[tuple[str, str], ...]
@@ -223,46 +327,67 @@ class Alignment:
 
 
 def optimal_alignment(
-    key: Partition,
-    response: Partition,
-    phi: Callable[[Chain, Chain], float],
+    key: Partition, response: Partition, variant: CeafVariant | str
 ) -> Alignment:
-    """Maximum-total-similarity one-to-one alignment of chains.
-
-    Solved as a rectangular assignment problem; rows and columns follow the
-    canonical chain-id order of each partition, which fixes tie-breaking.
-    """
-    key_chains, resp_chains = key.chains, response.chains
-    if not key_chains or not resp_chains:
-        return Alignment((), 0.0)
-    sim = np.zeros((len(key_chains), len(resp_chains)))
-    for i, kc in enumerate(key_chains):
-        for j, rc in enumerate(resp_chains):
-            sim[i, j] = phi(kc, rc)
-    rows, cols = linear_sum_assignment(sim, maximize=True)
-    pairs = tuple(
-        (key_chains[i].chain_id, resp_chains[j].chain_id)
-        for i, j in zip(rows, cols)
+    """Maximum-total-similarity one-to-one alignment of chains."""
+    pairs, total = _align(overlap(key, response), CeafVariant(variant))
+    left = sorted(set(range(len(key.chains))) - {i for i, _ in pairs})
+    right = sorted(set(range(len(response.chains))) - {j for _, j in pairs})
+    return Alignment(
+        tuple(
+            (key.chains[i].chain_id, response.chains[j].chain_id)
+            for i, j in sorted(pairs + list(zip(left, right)))
+        ),
+        total,
     )
-    total = math.fsum(sim[i, j] for i, j in zip(rows, cols))
-    return Alignment(pairs, total)
+
+
+def _ceaf(t: Overlap, variant: CeafVariant) -> PRCounts:
+    total = _align(t, variant)[1]
+    if variant is CeafVariant.MENTION:
+        return PRCounts(total, sum(t.key_sizes), total, sum(t.response_sizes))
+    return PRCounts(total, len(t.key_sizes), total, len(t.response_sizes))
+
+
+_COUNTERS: dict[MetricId, Callable[[Overlap], MetricCounts]] = {
+    MetricId.MUC: lambda t: _dual(_muc_half, t),
+    MetricId.B3: lambda t: _dual(_b3_half, t),
+    MetricId.CEAF_M: lambda t: _ceaf(t, CeafVariant.MENTION),
+    MetricId.CEAF_E: lambda t: _ceaf(t, CeafVariant.ENTITY),
+    MetricId.BLANC: _blanc,
+    MetricId.LEA: lambda t: _dual(_lea_half, t),
+}
+
+
+def metric_counts(
+    metric: MetricId | str, key: Partition, response: Partition
+) -> MetricCounts:
+    """One metric's addable counts, computed from the document's overlap table."""
+    return _COUNTERS[MetricId(metric)](overlap(key, response))
+
+
+def muc_counts(key: Partition, response: Partition) -> PRCounts:
+    return metric_counts(MetricId.MUC, key, response)
+
+
+def muc(key: Partition, response: Partition) -> ScoreTriple:
+    """Link-based score counting the minimum missing/extra links."""
+    return muc_counts(key, response).triple()
+
+
+def b3_counts(key: Partition, response: Partition) -> PRCounts:
+    return metric_counts(MetricId.B3, key, response)
+
+
+def b_cubed(key: Partition, response: Partition) -> ScoreTriple:
+    """Per-mention overlap score; correctly isolated singletons score 1."""
+    return b3_counts(key, response).triple()
 
 
 def ceaf_counts(
     key: Partition, response: Partition, variant: CeafVariant | str
 ) -> PRCounts:
-    check_same_doc(key, response)
-    variant = CeafVariant(variant)
-    if variant is CeafVariant.MENTION:
-        phi = phi3
-        r_den: float = len(mentions_of(key))
-        p_den: float = len(mentions_of(response))
-    else:
-        phi = phi4
-        r_den = len(key.chains)
-        p_den = len(response.chains)
-    total = optimal_alignment(key, response, phi).total_similarity
-    return PRCounts(total, r_den, total, p_den)
+    return _ceaf(overlap(key, response), CeafVariant(variant))
 
 
 def ceaf(
@@ -272,97 +397,14 @@ def ceaf(
     return ceaf_counts(key, response, variant).triple()
 
 
-def blanc_counts(key: Partition, response: Partition) -> BlancCounts:
-    """Coref and non-coref link counts over each side's own mentions.
-
-    The non-coref intersection is counted by inclusion-exclusion over the
-    shared mentions: pairs neither side links = all shared pairs minus
-    pairs linked in key minus pairs linked in response plus pairs linked
-    in both.
-    """
-    check_same_doc(key, response)
-    key_mentions = mentions_of(key)
-    resp_mentions = mentions_of(response)
-    shared = key_mentions & resp_mentions
-
-    coref_key = sum(_pairs(len(c)) for c in key.chains)
-    coref_resp = sum(_pairs(len(c)) for c in response.chains)
-    coref_both = 0
-    for chain in key.chains:
-        overlap = _overlap_counter(chain, response)
-        coref_both += sum(_pairs(v) for v in overlap.values())
-
-    shared_pairs = _pairs(len(shared))
-    key_linked_shared = sum(
-        _pairs(len(c.mention_set & resp_mentions)) for c in key.chains
-    )
-    resp_linked_shared = sum(
-        _pairs(len(c.mention_set & key_mentions)) for c in response.chains
-    )
-    noncoref_both = shared_pairs - key_linked_shared - resp_linked_shared + coref_both
-    noncoref_key = _pairs(len(key_mentions)) - coref_key
-    noncoref_resp = _pairs(len(resp_mentions)) - coref_resp
-
-    return BlancCounts(
-        coref=PRCounts(coref_both, coref_key, coref_both, coref_resp),
-        noncoref=PRCounts(noncoref_both, noncoref_key, noncoref_both, noncoref_resp),
-    )
-
-
 def blanc(key: Partition, response: Partition) -> ScoreTriple:
     """Rand-style average over coref and non-coref link categories."""
-    return blanc_counts(key, response).triple()
-
-
-def _lea_half(a: Partition, b: Partition) -> tuple[float, int]:
-    """Size-weighted resolution of a-entities by b, and the total weight.
-
-    link(e) = C(|e|, 2) for |e| >= 2; a singleton is resolved (self-link)
-    only if its mention appears as a singleton in ``b``.
-    """
-    num = 0.0
-    den = 0
-    b_singletons = b.singleton_mentions
-    for chain in a.chains:
-        n = len(chain)
-        den += n
-        if n == 1:
-            if chain.mentions[0] in b_singletons:
-                num += 1.0
-            continue
-        overlap = _overlap_counter(chain, b)
-        hits = sum(_pairs(v) for v in overlap.values())
-        num += n * (hits / _pairs(n))
-    return num, den
-
-
-def lea_counts(key: Partition, response: Partition) -> PRCounts:
-    check_same_doc(key, response)
-    r_num, r_den = _lea_half(key, response)
-    p_num, p_den = _lea_half(response, key)
-    return PRCounts(r_num, r_den, p_num, p_den)
+    return metric_counts(MetricId.BLANC, key, response).triple()
 
 
 def lea(key: Partition, response: Partition) -> ScoreTriple:
     """Link-based entity-aware score weighting each entity by its size."""
-    return lea_counts(key, response).triple()
-
-
-def metric_counts(
-    metric: MetricId | str, key: Partition, response: Partition
-) -> MetricCounts:
-    metric = MetricId(metric)
-    if metric is MetricId.MUC:
-        return muc_counts(key, response)
-    if metric is MetricId.B3:
-        return b3_counts(key, response)
-    if metric is MetricId.CEAF_M:
-        return ceaf_counts(key, response, CeafVariant.MENTION)
-    if metric is MetricId.CEAF_E:
-        return ceaf_counts(key, response, CeafVariant.ENTITY)
-    if metric is MetricId.BLANC:
-        return blanc_counts(key, response)
-    return lea_counts(key, response)
+    return metric_counts(MetricId.LEA, key, response).triple()
 
 
 def zero_counts(metric: MetricId) -> MetricCounts:
@@ -404,16 +446,16 @@ TALLY_KEYS = (
 
 def partition_tallies(key: Partition, response: Partition) -> dict[str, int]:
     """Mention/chain/singleton counts, plus response mentions missing from the key."""
-    key_mentions = mentions_of(key)
-    resp_mentions = mentions_of(response)
+    t = overlap(key, response)
+    response_mentions = sum(t.response_sizes)
     return {
-        "key_mentions": len(key_mentions),
-        "response_mentions": len(resp_mentions),
-        "key_chains": len(key.chains),
-        "response_chains": len(response.chains),
-        "key_singletons": sum(1 for c in key.chains if c.is_singleton),
-        "response_singletons": sum(1 for c in response.chains if c.is_singleton),
-        "response_spurious": len(resp_mentions - key_mentions),
+        "key_mentions": sum(t.key_sizes),
+        "response_mentions": response_mentions,
+        "key_chains": len(t.key_sizes),
+        "response_chains": len(t.response_sizes),
+        "key_singletons": t.key_sizes.count(1),
+        "response_singletons": t.response_sizes.count(1),
+        "response_spurious": response_mentions - sum(t.row_sums()),
     }
 
 
@@ -437,13 +479,6 @@ def _conll_avg(scores: Mapping[MetricId, ScoreTriple]) -> Optional[float]:
     return sum(scores[m].f1 for m in CONLL_METRICS) / len(CONLL_METRICS)
 
 
-def report_from_counts(
-    counts: Mapping[MetricId, MetricCounts], tallies: Mapping[str, int]
-) -> MetricReport:
-    scores = {m: counts[m].triple() for m in ALL_METRICS if m in counts}
-    return MetricReport(scores, _conll_avg(scores), dict(tallies))
-
-
 def conll_average(report: MetricReport) -> float:
     """Mean F1 of muc, b3, and ceaf_e; raises when any is absent."""
     missing = [m.value for m in CONLL_METRICS if m not in report.scores]
@@ -452,18 +487,6 @@ def conll_average(report: MetricReport) -> float:
     avg = _conll_avg(report.scores)
     assert avg is not None
     return avg
-
-
-def score_all(
-    key: Partition,
-    response: Partition,
-    metrics: Optional[Iterable[MetricId | str]] = None,
-) -> MetricReport:
-    """All requested metrics side by side, plus the CoNLL average and counts."""
-    check_same_doc(key, response)
-    return report_from_counts(
-        collect_counts(key, response, metrics), partition_tallies(key, response)
-    )
 
 
 def remove_spurious(response: Partition, key: Partition) -> Partition:
@@ -505,16 +528,3 @@ def recall_deltas(
         for m in before.scores
         if m in after.scores
     }
-
-
-def pathology(
-    key: Partition,
-    response: Partition,
-    metrics: Optional[Iterable[MetricId | str]] = None,
-) -> PathologyReport:
-    """Score, strip spurious response mentions, rescore, and report deltas."""
-    before = score_all(key, response, metrics)
-    after = score_all(key, remove_spurious(response, key), metrics)
-    return PathologyReport(
-        before, after, recall_deltas(before, after), before.counts["response_spurious"]
-    )

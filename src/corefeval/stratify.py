@@ -12,15 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from .errors import ModelError
-from .metrics import (
-    MetricId,
-    MetricReport,
-    PRCounts,
-    score_all,
-)
+from .metrics import MetricReport, PRCounts
 from .model import (
     Chain,
     Mention,
@@ -149,23 +144,3 @@ def stratum_pairs(
         out[stratum] = (key_slice, resp_slice)
     return out
 
-
-def stratified_score(
-    key: Partition,
-    response: Partition,
-    config: StratumConfig = StratumConfig(),
-    metrics: Optional[Iterable[MetricId | str]] = None,
-) -> StratifiedReport:
-    """Score each stratum separately and report detection and leakage."""
-    per_stratum = {
-        stratum: score_all(k, r, metrics)
-        for stratum, (k, r) in stratum_pairs(key, response, config).items()
-    }
-    spurious = len(mentions_of(response) - mentions_of(key))
-    return StratifiedReport(
-        per_stratum=per_stratum,
-        singleton_detection=singleton_detection(key, response),
-        leakage=leakage_count(key, response, config),
-        config=config,
-        spurious_mentions=spurious,
-    )

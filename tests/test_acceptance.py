@@ -306,7 +306,10 @@ def test_criterion_7_rank_size_diagnostics():
 def run_cli_process(args, hashseed):
     import os
 
-    env = {**os.environ, "PYTHONHASHSEED": hashseed}
+    # The child sees the same import path as this process, so the suite
+    # also runs from a checkout that is not installed.
+    path = os.pathsep.join(sys.path)
+    env = {**os.environ, "PYTHONHASHSEED": hashseed, "PYTHONPATH": path}
     return subprocess.run(
         [sys.executable, "-m", "corefeval.cli", *args],
         capture_output=True,

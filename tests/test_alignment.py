@@ -5,7 +5,20 @@ from itertools import permutations
 from hypothesis import given
 
 import helpers
-from corefeval import optimal_alignment, phi3, phi4
+from corefeval import CeafVariant, optimal_alignment
+
+
+def phi3(k, r) -> float:
+    """Reference CEAF mention similarity: size of the span intersection."""
+    return float(len(k.mention_set & r.mention_set))
+
+
+def phi4(k, r) -> float:
+    """Reference CEAF entity similarity: 2|K∩R| / (|K|+|R|)."""
+    return 2.0 * len(k.mention_set & r.mention_set) / (len(k) + len(r))
+
+
+VARIANTS = ((CeafVariant.MENTION, phi3), (CeafVariant.ENTITY, phi4))
 
 
 def brute_force_total(key, resp, phi) -> float:
@@ -28,21 +41,21 @@ def brute_force_total(key, resp, phi) -> float:
 
 def test_empty_side_yields_empty_alignment():
     key, resp = helpers.build_pair({"k": frozenset({1})}, {})
-    alignment = optimal_alignment(key, resp, phi3)
+    alignment = optimal_alignment(key, resp, CeafVariant.MENTION)
     assert alignment.pairs == ()
     assert alignment.total_similarity == 0.0
 
 
 def test_single_pair():
     key, resp = helpers.build_pair({"k": frozenset({1, 2})}, {"r": frozenset({1, 2})})
-    alignment = optimal_alignment(key, resp, phi3)
+    alignment = optimal_alignment(key, resp, CeafVariant.MENTION)
     assert alignment.pairs == (("k", "r"),)
     assert alignment.total_similarity == 2.0
 
 
 def test_zero_similarity_pairs_are_retained():
     key, resp = helpers.build_pair({"k": frozenset({1})}, {"r": frozenset({2})})
-    alignment = optimal_alignment(key, resp, phi3)
+    alignment = optimal_alignment(key, resp, CeafVariant.MENTION)
     assert len(alignment.pairs) == 1
     assert alignment.total_similarity == 0.0
 
@@ -52,11 +65,11 @@ def test_rectangular_alignments_pair_the_smaller_side():
         {"k1": frozenset({1, 2}), "k2": frozenset({3}), "k3": frozenset({4})},
         {"r1": frozenset({1, 2}), "r2": frozenset({3})},
     )
-    forward = optimal_alignment(key, resp, phi3)
+    forward = optimal_alignment(key, resp, CeafVariant.MENTION)
     assert len(forward.pairs) == 2
     assert ("k1", "r1") in forward.pairs
     assert ("k2", "r2") in forward.pairs
-    backward = optimal_alignment(resp, key, phi3)
+    backward = optimal_alignment(resp, key, CeafVariant.MENTION)
     assert len(backward.pairs) == 2
 
 
@@ -64,8 +77,8 @@ def test_alignment_is_one_to_one():
     rng = random.Random(11)
     for _ in range(50):
         key, resp = helpers.build_pair(*helpers.random_labels(rng))
-        for phi in (phi3, phi4):
-            alignment = optimal_alignment(key, resp, phi)
+        for variant, _ in VARIANTS:
+            alignment = optimal_alignment(key, resp, variant)
             lefts = [a for a, _ in alignment.pairs]
             rights = [b for _, b in alignment.pairs]
             assert len(set(lefts)) == len(lefts)
@@ -79,8 +92,8 @@ def test_total_equals_sum_over_returned_pairs():
         key, resp = helpers.build_pair(*helpers.random_labels(rng))
         key_by_id = {c.chain_id: c for c in key.chains}
         resp_by_id = {c.chain_id: c for c in resp.chains}
-        for phi in (phi3, phi4):
-            alignment = optimal_alignment(key, resp, phi)
+        for variant, phi in VARIANTS:
+            alignment = optimal_alignment(key, resp, variant)
             recomputed = math.fsum(
                 phi(key_by_id[a], resp_by_id[b]) for a, b in alignment.pairs
             )
@@ -92,15 +105,15 @@ def test_deterministic_across_calls():
         {"k1": frozenset({1}), "k2": frozenset({2})},
         {"r1": frozenset({3}), "r2": frozenset({4})},
     )
-    first = optimal_alignment(key, resp, phi3)
-    second = optimal_alignment(key, resp, phi3)
+    first = optimal_alignment(key, resp, CeafVariant.MENTION)
+    second = optimal_alignment(key, resp, CeafVariant.MENTION)
     assert first == second
 
 
 @given(helpers.label_instances(max_mentions=8, max_chains=4))
 def test_matches_brute_force_maximum(instance):
     key, resp = helpers.build_pair(*instance)
-    for phi in (phi3, phi4):
-        got = optimal_alignment(key, resp, phi).total_similarity
+    for variant, phi in VARIANTS:
+        got = optimal_alignment(key, resp, variant).total_similarity
         want = brute_force_total(key, resp, phi)
         assert got == want or abs(got - want) <= 1e-12

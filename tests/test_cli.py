@@ -132,6 +132,31 @@ class TestInputErrors:
         assert str(bad) in err
         assert "line 1" in err
 
+    @pytest.mark.parametrize(
+        "name, head",
+        [
+            ("bad.jsonl", '{"doc_id": "d", "num_tokens": 1, "chains": []}\n\n'),
+            ("bad.conll", "#begin document d\nw\t-\n"),
+        ],
+        ids=["jsonl", "conll"],
+    )
+    def test_non_utf8_input_reports_path_and_line(self, tmp_path, capsys, name, head):
+        bad = tmp_path / name
+        bad.write_bytes(head.encode("utf-8") + b"w\t\xff\xfe\n")
+        rc = main(["stats", "--key", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {bad}: line 3: invalid UTF-8")
+
+    def test_deeply_nested_json_reports_path_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "deep.jsonl"
+        record = '{"doc_id": "d", "num_tokens": 1, "chains": []}\n'
+        bad.write_text(record + "[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+        rc = main(["stats", "--key", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {bad}: line 2: invalid JSON")
+
     def test_document_mismatch(self, fixtures_dir, capsys):
         rc = main(
             [
@@ -274,7 +299,10 @@ class TestPathologyCommand:
 
 
 def run_cli(args, hashseed):
-    env = {**os.environ, "PYTHONHASHSEED": hashseed}
+    # The child sees the same import path as this process, so the suite
+    # also runs from a checkout that is not installed.
+    path = os.pathsep.join(sys.path)
+    env = {**os.environ, "PYTHONHASHSEED": hashseed, "PYTHONPATH": path}
     return subprocess.run(
         [sys.executable, "-m", "corefeval.cli", *args],
         capture_output=True,

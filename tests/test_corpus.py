@@ -33,7 +33,7 @@ DOC2_RESP = {"r": frozenset({1, 2})}
 
 def make_pair(key_labels, resp_labels, doc="d", named=frozenset()):
     key, resp = helpers.build_pair(key_labels, resp_labels, doc=doc, named=named)
-    return DocPair(helpers.doc_for(key), key, resp)
+    return DocPair(key, resp)
 
 
 def two_doc_pairs():
@@ -58,7 +58,7 @@ class TestPairing:
         key = source_of({"b": DOC2_KEY, "a": DOC1_KEY}, Role.KEY)
         resp = source_of({"a": DOC1_RESP, "b": DOC2_RESP}, Role.RESPONSE)
         pairs = pair_corpora(key, resp)
-        assert [p.document.doc_id for p in pairs] == ["a", "b"]
+        assert [p.key.doc_id for p in pairs] == ["a", "b"]
         assert all(p.key.role is Role.KEY for p in pairs)
 
     def test_key_only_document_rejected(self):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import oracles
 from corefeval import (
     ALL_METRICS,
     CeafVariant,
+    Chain,
     DocMismatch,
     MetricId,
     MissingMetric,
@@ -21,6 +23,7 @@ from corefeval import (
     chain_of,
     conll_average,
     lea,
+    Mention,
     mentions_of,
     muc,
     muc_counts,
@@ -192,6 +195,27 @@ class TestCeafEdges:
         assert counts.p_den == 1
         assert counts.recall == pytest.approx(1 / 3)
 
+
+    def test_entity_alignment_is_sparse_on_singleton_chains(self):
+        # 1,500 singleton chains per side, half the spans shared: a dense
+        # 1,500 x 1,500 similarity matrix alone would take 18 MB.
+        doc = "d"
+        key = Partition(
+            doc, [Chain(f"k{i}", [Mention(doc, i, i)]) for i in range(1500)], Role.KEY
+        )
+        resp = Partition(
+            doc,
+            [Chain(f"r{i}", [Mention(doc, 750 + i, 750 + i)]) for i in range(1500)],
+            Role.RESPONSE,
+        )
+        tracemalloc.start()
+        try:
+            triple = ceaf(key, resp, "entity")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert as_tuple(triple) == (0.5, 0.5, 0.5)
+        assert peak < 2 * 1024 * 1024
 
 class TestBlancEdges:
     def test_single_chain_identity_uses_coref_category_alone(self):

@@ -29,12 +29,14 @@ Stats options:
 Exit status: 0 on success, 1 on input errors (unreadable files, parse
 failures, document mismatches, bad flags), 2 on internal errors.  Errors
 are one-line diagnostics on stderr; reports go to stdout and are
-byte-identical across repeated runs on the same input.
+byte-identical across repeated runs on the same input.  A reader closing
+stdout early (``| head``) is not an error: the run exits 0 quietly.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -49,7 +51,7 @@ from .corpus import (
     score_corpus,
     stratify_corpus,
 )
-from .errors import CorefEvalError
+from .errors import CorefEvalError, DocMismatch
 from .metrics import ALL_METRICS, MetricId
 from .model import CorpusSource, Role, SourceFormat
 from .reports import OutputFormat, emit_report
@@ -190,7 +192,12 @@ def _execute(config: RunConfig) -> str:
         return emit_report(report, config.output)
     assert config.response_path is not None
     response = _load(config.response_path, config, Role.RESPONSE)
-    pairs = pair_corpora(key, response)
+    try:
+        pairs = pair_corpora(key, response)
+    except DocMismatch as exc:
+        raise CorefEvalError(
+            f"{config.key_path} and {config.response_path}: {exc}"
+        ) from None
     if config.command == "score":
         report = score_corpus(pairs, config.metrics, config.averaging)
     elif config.command == "stratify":
@@ -211,7 +218,13 @@ def run(config: RunConfig) -> int:
             output = _execute(config)
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)
-        print(output)
+        try:
+            print(output)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader left early (`| head`), which is not an error.  Point
+            # stdout at devnull so the interpreter's final flush stays quiet.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (CorefEvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

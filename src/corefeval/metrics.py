@@ -7,9 +7,10 @@ and columns in each partition's canonical chain order.  MUC, B3 and LEA
 compute recall from the table's rows; precision is the same function
 applied to the transposed table, so precision(key, response) equals
 recall(response, key) by construction.  BLANC combines the cells with the
-row and column sums.  CEAF aligns chains separately within each connected
-component of the non-zero cells, since chains sharing no mention add
-nothing to an alignment.
+row and column sums.  CEAF aligns chains with an in-package exact
+maximum-weight matching over the non-zero cells only (successive shortest
+augmenting paths with row and column potentials, see ``_align``); chains
+sharing no mention add nothing to an alignment, so no dense block is built.
 
 Each metric is expressed as addable recall and precision counts
 (numerators and denominators) so multi-document corpora can be
@@ -26,13 +27,11 @@ Conventions shared by all metrics:
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Optional
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import MissingMetric
 from .model import (
@@ -256,59 +255,73 @@ def _blanc(t: Overlap) -> BlancCounts:
     )
 
 
-def _components(t: Overlap) -> Iterable[list[tuple[int, int, int]]]:
-    """The non-zero cells (i, j, v), grouped by connected component.
-
-    Two cells are connected when they share a key or a response chain.
-    Components and the cells inside them keep canonical (i, j) order.
-    """
-    n_key = len(t.key_sizes)
-    root = list(range(n_key + len(t.response_sizes)))
-
-    def find(node: int) -> int:
-        while root[node] != node:
-            root[node] = root[root[node]]
-            node = root[node]
-        return node
-
-    cells = [(i, j, v) for i, row in enumerate(t.rows) for j, v in sorted(row.items())]
-    for i, j, _ in cells:
-        root[find(n_key + j)] = find(i)
-    groups: dict[int, list[tuple[int, int, int]]] = {}
-    for cell in cells:
-        groups.setdefault(find(cell[0]), []).append(cell)
-    return groups.values()
-
-
 def _align(t: Overlap, variant: CeafVariant) -> tuple[list[tuple[int, int]], float]:
-    """Optimal chain matching within the non-zero cells, and its total.
+    """Maximum-total-similarity chain matching over the non-zero cells.
 
     phi3 (mention) similarity is |K ∩ R|, phi4 (entity) is
-    2|K ∩ R| / (|K| + |R|).  One rectangular assignment problem is solved
-    per connected component of the non-zero cells, with rows and columns
-    in canonical chain order, which fixes tie-breaking.  Returns index
-    pairs, possibly including zero-similarity pairs inside a component.
+    2|K ∩ R| / (|K| + |R|).  Only non-zero cells are edges, and every key
+    chain may instead stay unmatched at similarity 0 (a private dummy
+    column), so the result is an exact maximum-weight matching.
+
+    Successive shortest augmenting paths: key chains are added in
+    canonical order, each by one Dijkstra search over the slacks
+    u[i] + v[j] - phi(i, j) >= 0, which are 0 on matched cells.  Row
+    potentials start at the row's largest phi; response and dummy
+    potentials start at 0, and a column changes potential only once it
+    is matched, so every free column shares potential 0 and the nearest
+    free column ends a shortest path (seeding columns otherwise breaks
+    optimality).  A search follows non-zero cells only, so it never leaves
+    its connected component: chains sharing no mention add nothing to an
+    alignment.  Returns the matched (key, response) index pairs, all of
+    positive similarity, and the fsum of their similarities.
     """
-
-    def phi(i: int, j: int, v: int) -> float:
-        if variant is CeafVariant.MENTION:
-            return float(v)
-        return 2.0 * v / (t.key_sizes[i] + t.response_sizes[j])
-
-    pairs: list[tuple[int, int]] = []
-    matched: list[float] = []
-    for cells in _components(t):
-        key_ids = sorted({i for i, _, _ in cells})
-        resp_ids = sorted({j for _, j, _ in cells})
-        row_of = {i: r for r, i in enumerate(key_ids)}
-        col_of = {j: c for c, j in enumerate(resp_ids)}
-        block = np.zeros((len(key_ids), len(resp_ids)))
-        for i, j, v in cells:
-            block[row_of[i], col_of[j]] = phi(i, j, v)
-        rows, cols = linear_sum_assignment(block, maximize=True)
-        pairs.extend((key_ids[r], resp_ids[c]) for r, c in zip(rows, cols))
-        matched.extend(block[rows, cols].tolist())
-    return pairs, math.fsum(matched)
+    sizes_k, sizes_r = t.key_sizes, t.response_sizes
+    rows = [
+        {
+            j: float(v) if variant is CeafVariant.MENTION
+            else 2.0 * v / (sizes_k[i] + sizes_r[j])
+            for j, v in row.items()
+        }
+        for i, row in enumerate(t.rows)
+    ]
+    dummy = len(sizes_r)  # column dummy + i is key chain i's dummy
+    u = [max(row.values(), default=0.0) for row in rows]
+    v = [0.0] * dummy
+    owner: dict[int, int] = {}  # response column -> key row
+    mate: dict[int, int] = {}  # key row -> column, possibly its dummy
+    for s in range(len(rows)):
+        reached, settled, best, via, heap = {s: 0.0}, {}, {}, {}, []
+        i, d = s, 0.0
+        while True:
+            via[dummy + i] = i
+            heapq.heappush(heap, (d + u[i], dummy + i))
+            for j, w in rows[i].items():
+                dj = d + u[i] + v[j] - w
+                if j not in settled and dj < best.get(j, math.inf):
+                    best[j], via[j] = dj, i
+                    heapq.heappush(heap, (dj, j))
+            d, j = heapq.heappop(heap)
+            while j in settled:
+                d, j = heapq.heappop(heap)
+            settled[j] = d
+            if j >= dummy or j not in owner:
+                break
+            i = owner[j]
+            reached[i] = d
+        for r, dr in reached.items():
+            u[r] -= d - dr
+        for c, dc in settled.items():
+            if c < dummy:
+                v[c] += d - dc
+        while True:
+            i = via[j]
+            if j < dummy:
+                owner[j] = i
+            mate[i], j = j, mate.get(i)
+            if i == s:
+                break
+    pairs = [(i, j) for i, j in mate.items() if j < dummy]
+    return pairs, math.fsum(rows[i][j] for i, j in pairs)
 
 
 @dataclass(frozen=True)

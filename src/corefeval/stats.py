@@ -15,8 +15,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-import numpy as np
-
 from .errors import EmptySeries, ModelError
 from .model import Document, Partition
 
@@ -103,6 +101,8 @@ def zipf_fit(series: Sequence[tuple[float, float]]) -> ZipfFit:
             raise ModelError(f"rank and size must be >= 1, got ({rank}, {size})")
     if len(points) == 1:
         return ZipfFit(0.0, math.log(points[0][1]), None, 1)
+    import numpy as np  # here only, so commands other than stats never load it
+
     x = np.log([rank for rank, _ in points])
     y = np.log([size for _, size in points])
     x_mean, y_mean = float(x.mean()), float(y.mean())

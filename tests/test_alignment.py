@@ -2,7 +2,10 @@ import math
 import random
 from itertools import permutations
 
+import numpy as np
 from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import helpers
 from corefeval import CeafVariant, optimal_alignment
@@ -117,3 +120,72 @@ def test_matches_brute_force_maximum(instance):
         got = optimal_alignment(key, resp, variant).total_similarity
         want = brute_force_total(key, resp, phi)
         assert got == want or abs(got - want) <= 1e-12
+
+
+def scipy_total(key, resp, variant) -> float:
+    """The optimum of scipy's assignment solver on the dense similarity block."""
+    if not key.chains or not resp.chains:
+        return 0.0
+    column = {m: j for j, chain in enumerate(resp.chains) for m in chain.mentions}
+    shared = np.zeros((len(key.chains), len(resp.chains)))
+    for i, chain in enumerate(key.chains):
+        for m in chain.mentions:
+            if m in column:
+                shared[i, column[m]] += 1
+    if variant is CeafVariant.MENTION:
+        block = shared
+    else:
+        sizes = np.add.outer(
+            [len(c) for c in key.chains], [len(c) for c in resp.chains]
+        )
+        block = 2.0 * shared / sizes
+    rows, cols = linear_sum_assignment(block, maximize=True)
+    return math.fsum(block[rows, cols].tolist())
+
+
+def assert_matches_scipy(key, resp):
+    for variant in CeafVariant:
+        got = optimal_alignment(key, resp, variant).total_similarity
+        want = scipy_total(key, resp, variant)
+        if variant is CeafVariant.MENTION:
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-12
+
+
+@st.composite
+def sparse_components(draw, max_chains: int = 25):
+    """Key and response chains over few mentions, so most cells are zero."""
+    n_key = draw(st.integers(1, max_chains))
+    n_resp = n_key if draw(st.booleans()) else draw(st.integers(1, max_chains))
+    n = draw(st.integers(0, 2 * max_chains))
+
+    def side(chains):
+        return st.lists(st.integers(-1, chains - 1), min_size=n, max_size=n)
+
+    return (
+        helpers._group(draw(side(n_key)), "k"),
+        helpers._group(draw(side(n_resp)), "r"),
+    )
+
+
+@given(sparse_components())
+def test_matches_scipy_on_sparse_components(instance):
+    assert_matches_scipy(*helpers.build_pair(*instance))
+
+
+def test_matches_scipy_on_uniformly_random_long_document():
+    """12,000 mentions in 500 key chains, each sent to a random response chain."""
+    rng = random.Random(4)
+    key: dict[str, set] = {}
+    resp: dict[str, set] = {}
+    for m in range(12_000):
+        key.setdefault(f"k{m % 500}", set()).add(m)
+        resp.setdefault(f"r{rng.randrange(500)}", set()).add(m)
+    assert len(key) == len(resp) == 500
+    assert_matches_scipy(
+        *helpers.build_pair(
+            {c: frozenset(ms) for c, ms in key.items()},
+            {c: frozenset(ms) for c, ms in resp.items()},
+        )
+    )

@@ -157,19 +157,23 @@ class TestInputErrors:
         assert rc == 1
         assert err.startswith(f"error: {bad}: line 2: invalid JSON")
 
-    def test_document_mismatch(self, fixtures_dir, capsys):
-        rc = main(
-            [
-                "score",
-                "--key",
-                str(fixtures_dir / "derived_key.jsonl"),
-                "--response",
-                str(fixtures_dir / "pathology_response.jsonl"),
-            ]
+    def test_document_mismatch(self, fixtures_dir, tmp_path, capsys):
+        key = fixtures_dir / "derived_key.jsonl"
+        longer = tmp_path / "longer.jsonl"
+        longer.write_text(
+            key.read_text(encoding="utf-8").replace(
+                '"num_tokens": 6', '"num_tokens": 7'
+            ),
+            encoding="utf-8",
         )
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert "unpaired" in err
+        for response, reason in (
+            (fixtures_dir / "pathology_response.jsonl", "unpaired"),
+            (longer, "document 'derived' has 6 tokens in the key but 7"),
+        ):
+            rc = main(["score", "--key", str(key), "--response", str(response)])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert err.startswith(f"error: {key} and {response}: {reason}")
 
     def test_bad_threshold(self, fixtures_dir, capsys):
         rc = main(
@@ -298,15 +302,18 @@ class TestPathologyCommand:
         assert ceaf_e_row.split(",")[3] == "0.1000"
 
 
-def run_cli(args, hashseed):
+def child_env(hashseed="0"):
     # The child sees the same import path as this process, so the suite
     # also runs from a checkout that is not installed.
     path = os.pathsep.join(sys.path)
-    env = {**os.environ, "PYTHONHASHSEED": hashseed, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONHASHSEED": hashseed, "PYTHONPATH": path}
+
+
+def run_cli(args, hashseed):
     return subprocess.run(
         [sys.executable, "-m", "corefeval.cli", *args],
         capture_output=True,
-        env=env,
+        env=child_env(hashseed),
     )
 
 
@@ -324,3 +331,63 @@ def test_output_is_byte_identical_across_hash_seeds(fixtures_dir):
     second = run_cli(args, "1")
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
+
+
+LOADED_AFTER_MAIN = (
+    "import sys\n"
+    "from corefeval.cli import main\n"
+    "rc = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+    "print('loaded:', *sorted({'numpy', 'scipy'} & set(sys.modules)), file=sys.stderr)\n"
+    "sys.exit(rc)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [None, "score", "stratify", "pathology"],
+    ids=["import", "score", "stratify", "pathology"],
+)
+def test_scoring_never_imports_numpy_or_scipy(fixtures_dir, command):
+    """Start-up stays light: only the stats command's Zipf fit loads numpy."""
+    args = []
+    if command is not None:
+        args = [
+            command,
+            "--key",
+            str(fixtures_dir / "pathology_key.jsonl"),
+            "--response",
+            str(fixtures_dir / "pathology_response.jsonl"),
+        ]
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER_MAIN, *args],
+        capture_output=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.decode().splitlines()[-1] == "loaded:"
+
+
+def test_reader_closing_the_pipe_early_exits_quietly(fixtures_dir):
+    """As in `corefeval stats ... | head -1`, with the reader already gone."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "corefeval.cli",
+                "stats",
+                "--key",
+                str(fixtures_dir / "pathology_key.jsonl"),
+                "--output",
+                "json",
+            ],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == b""

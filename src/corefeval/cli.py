@@ -216,8 +216,10 @@ def run(config: RunConfig) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             output = _execute(config)
+        # The one warning the library raises, the require_named degrade,
+        # is about the key corpus, so it names the key file.
         for warning in caught:
-            print(f"warning: {warning.message}", file=sys.stderr)
+            print(f"warning: {config.key_path}: {warning.message}", file=sys.stderr)
         try:
             print(output)
             sys.stdout.flush()

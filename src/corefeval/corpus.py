@@ -5,6 +5,14 @@ side only, or with disagreeing token counts, raises DocMismatch rather
 than silently distorting scores.  Pairs are processed in sorted doc_id
 order, so float accumulation is reproducible run to run.
 
+Each document pair gets exactly one overlap table (``metrics.overlap``),
+built when the pair is reached and dropped once its counts are taken:
+``score`` reads the metrics and tallies off it, ``stratify`` scores its
+per-stratum row projections and reads leakage, singleton detection and
+the spurious count off its cells, and ``pathology`` scores it before and
+its projection onto every key row after spurious-mention removal.  No
+partition is rebuilt on any of these paths.
+
 Micro averaging sums each metric's numerators and denominators across
 documents before dividing; macro averaging takes the component-wise
 arithmetic mean of per-document triples (F1 is averaged directly, not
@@ -33,15 +41,16 @@ from .metrics import (
     MetricCounts,
     MetricId,
     MetricReport,
+    Overlap,
     PathologyReport,
     PRCounts,
     TALLY_KEYS,
     _conll_avg,
-    collect_counts,
     normalize_metrics,
-    partition_tallies,
+    overlap,
     recall_deltas,
-    remove_spurious,
+    table_counts,
+    table_tallies,
     zero_counts,
 )
 from .model import (
@@ -52,17 +61,22 @@ from .model import (
     SourceFormat,
     ZERO_TRIPLE,
     check_same_doc,
-    mentions_of,
 )
 from .stats import StatsReport, stats_report
 from .stratify import (
     StratifiedReport,
     Stratum,
     StratumConfig,
-    leakage_count,
-    singleton_detection_counts,
-    stratum_pairs,
+    chain_strata,
+    stratum_tables,
+    table_leakage,
+    table_singleton_detection,
 )
+
+# The partition-building counterparts of the table path, which bench/layers.py
+# looks up on this module to time them; nothing here calls them.
+from .metrics import partition_tallies, remove_spurious  # noqa: F401
+from .stratify import stratum_pairs  # noqa: F401
 
 
 class Averaging(str, Enum):
@@ -120,10 +134,8 @@ def _sorted(pairs: Iterable[DocPair]) -> list[DocPair]:
 DocCounts = tuple[dict[MetricId, MetricCounts], dict[str, int]]
 
 
-def _doc_counts(
-    key: Partition, response: Partition, wanted: tuple[MetricId, ...]
-) -> DocCounts:
-    return collect_counts(key, response, wanted), partition_tallies(key, response)
+def _doc_counts(t: Overlap, wanted: tuple[MetricId, ...]) -> DocCounts:
+    return table_counts(t, wanted), table_tallies(t)
 
 
 def _average(
@@ -162,7 +174,7 @@ def score_corpus(
 ) -> MetricReport:
     """One report for a whole corpus under the chosen averaging."""
     wanted = normalize_metrics(metrics)
-    docs = [_doc_counts(p.key, p.response, wanted) for p in _sorted(pairs)]
+    docs = [_doc_counts(overlap(p.key, p.response), wanted) for p in _sorted(pairs)]
     return _reduce(docs, wanted, Averaging(averaging))
 
 
@@ -181,7 +193,7 @@ def effective_stratum_config(
     """Degrade require_named when no key mention in the corpus is named."""
     if not config.require_named:
         return config
-    if any(m.is_named for p in pairs for m in mentions_of(p.key)):
+    if any(m.is_named for p in pairs for c in p.key.chains for m in c.mentions):
         return config
     warnings.warn(
         "no key mention carries is_named; require_named degraded to false "
@@ -214,20 +226,24 @@ def _stratified(
     stratum over the documents that have it."""
     wanted = normalize_metrics(metrics)
     strata: dict[Stratum, list[DocCounts]] = {}
+    detection = []
+    leakage = spurious = 0
     for p in pairs:
-        for stratum, (key, response) in stratum_pairs(p.key, p.response, config).items():
-            strata.setdefault(stratum, []).append(_doc_counts(key, response, wanted))
-    detection = [singleton_detection_counts(p.key, p.response) for p in pairs]
+        t = overlap(p.key, p.response)
+        labels = chain_strata(p.key, config)
+        for stratum, projected in stratum_tables(t, labels).items():
+            strata.setdefault(stratum, []).append(_doc_counts(projected, wanted))
+        detection.append(table_singleton_detection(t))
+        leakage += table_leakage(t, labels)
+        spurious += t.spurious()
     return StratifiedReport(
         per_stratum={
             s: _reduce(strata[s], wanted, averaging) for s in Stratum if s in strata
         },
         singleton_detection=_average(detection, PRCounts(), averaging),
-        leakage=sum(leakage_count(p.key, p.response, config) for p in pairs),
+        leakage=leakage,
         config=config,
-        spurious_mentions=sum(
-            len(mentions_of(p.response) - mentions_of(p.key)) for p in pairs
-        ),
+        spurious_mentions=spurious,
     )
 
 
@@ -247,11 +263,21 @@ def pathology_corpus(
     metrics: Optional[Iterable[MetricId | str]] = None,
     averaging: Averaging | str = Averaging.MICRO,
 ) -> PathologyReport:
-    """Corpus-level before/after comparison around remove_spurious."""
-    pairs = _sorted(pairs)
-    before = score_corpus(pairs, metrics, averaging)
-    cleaned = [DocPair(p.key, remove_spurious(p.response, p.key)) for p in pairs]
-    after = score_corpus(cleaned, metrics, averaging)
+    """Corpus-level before/after comparison around spurious-mention removal.
+
+    "After" scores each table projected onto all its key rows, which is
+    the table of the response with every non-key mention removed
+    (``remove_spurious``).
+    """
+    wanted = normalize_metrics(metrics)
+    averaging = Averaging(averaging)
+    docs_before, docs_after = [], []
+    for p in _sorted(pairs):
+        t = overlap(p.key, p.response)
+        docs_before.append(_doc_counts(t, wanted))
+        docs_after.append(_doc_counts(t.project(range(len(t.rows))), wanted))
+    before = _reduce(docs_before, wanted, averaging)
+    after = _reduce(docs_after, wanted, averaging)
     return PathologyReport(
         before, after, recall_deltas(before, after), before.counts["response_spurious"]
     )

@@ -3,14 +3,18 @@
 Every metric is a function of one table per document, ``overlap(key,
 response)``: the key and response chain sizes plus the non-zero cells
 (i, j, |K_i ∩ R_j|) of the key × response contingency table, with rows
-and columns in each partition's canonical chain order.  MUC, B3 and LEA
-compute recall from the table's rows; precision is the same function
-applied to the transposed table, so precision(key, response) equals
-recall(response, key) by construction.  BLANC combines the cells with the
-row and column sums.  CEAF aligns chains with an in-package exact
-maximum-weight matching over the non-zero cells only (successive shortest
-augmenting paths with row and column potentials, see ``_align``); chains
-sharing no mention add nothing to an alignment, so no dense block is built.
+and columns in each partition's canonical chain order.  Every command
+derives from that one table: ``score`` reads the six metrics and the
+tallies off it, and the stratify strata and the pathology "after" pass
+are its row projections (``Overlap.project``), so no partition is rebuilt.
+MUC, B3 and LEA compute recall from the table's rows; precision is the
+same function applied to the transposed table (built once per table), so
+precision(key, response) equals recall(response, key) by construction.
+BLANC combines the cells with the row and column sums.  CEAF aligns
+chains with an in-package exact maximum-weight matching over the non-zero
+cells only (successive shortest augmenting paths with row and column
+potentials, see ``_align``); chains sharing no mention add nothing to an
+alignment, so no dense block is built.
 
 Each metric is expressed as addable recall and precision counts
 (numerators and denominators) so multi-document corpora can be
@@ -31,7 +35,8 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Optional
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import MissingMetric
 from .model import (
@@ -143,8 +148,9 @@ class Overlap:
     response_sizes: tuple[int, ...]
     rows: tuple[dict[int, int], ...]
 
-    def transpose(self) -> "Overlap":
-        """The response × key table of the same document."""
+    @cached_property
+    def transposed(self) -> "Overlap":
+        """The response × key table of the same document, built once."""
         cols: tuple[dict[int, int], ...] = tuple({} for _ in self.response_sizes)
         for i, row in enumerate(self.rows):
             for j, v in row.items():
@@ -154,6 +160,31 @@ class Overlap:
     def row_sums(self) -> list[int]:
         """|K_i ∩ response mentions| per key chain."""
         return [sum(row.values()) for row in self.rows]
+
+    def spurious(self) -> int:
+        """Response mentions that are in no key chain."""
+        return sum(self.response_sizes) - sum(self.row_sums())
+
+    def project(self, rows: Sequence[int]) -> "Overlap":
+        """Key chains ``rows`` against the response cut to their mentions.
+
+        Response sizes become the column sums over the kept rows and
+        all-zero columns are dropped.  Rows, columns and cells keep their
+        order, so the metrics add up as on the cut partitions' own table.
+        """
+        sums = [0] * len(self.response_sizes)
+        for i in rows:
+            for j, v in self.rows[i].items():
+                sums[j] += v
+        index: dict[int, int] = {}
+        for j, total in enumerate(sums):
+            if total:
+                index[j] = len(index)
+        return Overlap(
+            tuple(self.key_sizes[i] for i in rows),
+            tuple(total for total in sums if total),
+            tuple({index[j]: v for j, v in self.rows[i].items()} for i in rows),
+        )
 
 
 def overlap(key: Partition, response: Partition) -> Overlap:
@@ -178,7 +209,7 @@ def overlap(key: Partition, response: Partition) -> Overlap:
 def _dual(half: Callable[[Overlap], tuple], table: Overlap) -> PRCounts:
     """Recall counts from the table, precision counts from its transpose."""
     r_num, r_den = half(table)
-    p_num, p_den = half(table.transpose())
+    p_num, p_den = half(table.transposed)
     return PRCounts(r_num, r_den, p_num, p_den)
 
 
@@ -242,7 +273,7 @@ def _blanc(t: Overlap) -> BlancCounts:
     noncoref_both = (
         _pairs(sum(row_sums))
         - sum(map(_pairs, row_sums))
-        - sum(map(_pairs, t.transpose().row_sums()))
+        - sum(map(_pairs, t.transposed.row_sums()))
         + coref_both
     )
     coref_key = sum(map(_pairs, t.key_sizes))
@@ -432,12 +463,19 @@ def normalize_metrics(metrics: Optional[Iterable[MetricId | str]]) -> tuple[Metr
     return tuple(m for m in ALL_METRICS if m in wanted)
 
 
+def table_counts(
+    t: Overlap, metrics: Iterable[MetricId]
+) -> dict[MetricId, MetricCounts]:
+    """The counts of ``metrics``, in the order given, from one table."""
+    return {m: _COUNTERS[m](t) for m in metrics}
+
+
 def collect_counts(
     key: Partition,
     response: Partition,
     metrics: Optional[Iterable[MetricId | str]] = None,
 ) -> dict[MetricId, MetricCounts]:
-    return {m: metric_counts(m, key, response) for m in normalize_metrics(metrics)}
+    return table_counts(overlap(key, response), normalize_metrics(metrics))
 
 
 def add_counts(
@@ -457,19 +495,22 @@ TALLY_KEYS = (
 )
 
 
-def partition_tallies(key: Partition, response: Partition) -> dict[str, int]:
+def table_tallies(t: Overlap) -> dict[str, int]:
     """Mention/chain/singleton counts, plus response mentions missing from the key."""
-    t = overlap(key, response)
-    response_mentions = sum(t.response_sizes)
     return {
         "key_mentions": sum(t.key_sizes),
-        "response_mentions": response_mentions,
+        "response_mentions": sum(t.response_sizes),
         "key_chains": len(t.key_sizes),
         "response_chains": len(t.response_sizes),
         "key_singletons": t.key_sizes.count(1),
         "response_singletons": t.response_sizes.count(1),
-        "response_spurious": response_mentions - sum(t.row_sums()),
+        "response_spurious": t.spurious(),
     }
+
+
+def partition_tallies(key: Partition, response: Partition) -> dict[str, int]:
+    """The tallies of one document pair, from its overlap table."""
+    return table_tallies(overlap(key, response))
 
 
 @dataclass(frozen=True)

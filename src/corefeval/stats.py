@@ -5,7 +5,7 @@ separately, and both mentions-per-chain ratios are emitted so either
 reading of "chain" is inspectable.  The rank-size series lists every
 chain (singletons included) by descending size, which is the
 plottable-series path; ``zipf_fit`` measures log-log straightness with
-ordinary least squares.
+ordinary least squares, every sum exactly rounded (``math.fsum``).
 """
 
 from __future__ import annotations
@@ -101,19 +101,17 @@ def zipf_fit(series: Sequence[tuple[float, float]]) -> ZipfFit:
             raise ModelError(f"rank and size must be >= 1, got ({rank}, {size})")
     if len(points) == 1:
         return ZipfFit(0.0, math.log(points[0][1]), None, 1)
-    import numpy as np  # here only, so commands other than stats never load it
-
-    x = np.log([rank for rank, _ in points])
-    y = np.log([size for _, size in points])
-    x_mean, y_mean = float(x.mean()), float(y.mean())
-    sxx = float(((x - x_mean) ** 2).sum())
-    sxy = float(((x - x_mean) * (y - y_mean)).sum())
+    x = [math.log(rank) for rank, _ in points]
+    y = [math.log(size) for _, size in points]
+    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    sxx = math.fsum((a - x_mean) ** 2 for a in x)
+    sxy = math.fsum((a - x_mean) * (b - y_mean) for a, b in zip(x, y))
     slope = sxy / sxx if sxx else 0.0
     intercept = y_mean - slope * x_mean
-    ss_tot = float(((y - y_mean) ** 2).sum())
+    ss_tot = math.fsum((b - y_mean) ** 2 for b in y)
     if ss_tot == 0.0:
         return ZipfFit(slope, intercept, None, len(points))
-    ss_res = float(((y - (slope * x + intercept)) ** 2).sum())
+    ss_res = math.fsum((b - (slope * a + intercept)) ** 2 for a, b in zip(x, y))
     r_squared = min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
     return ZipfFit(slope, intercept, r_squared, len(points))
 

@@ -6,16 +6,22 @@ and scored there.  Cross-stratum confusion that projection hides is
 surfaced separately as the leakage count: response chains whose key
 mentions straddle two or more strata.  Response mentions absent from the
 key belong to no stratum; their count is reported alongside.
+
+Everything here derives from the document's one overlap table: a
+stratum is the projection of the table onto its key rows
+(``stratum_tables``), and leakage and singleton detection read the
+table's cells.  ``stratum_pairs`` builds the same strata as partitions;
+it is the reference the table path is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ModelError
-from .metrics import MetricReport, PRCounts
+from .metrics import MetricReport, Overlap, PRCounts, overlap
 from .model import (
     Chain,
     Mention,
@@ -60,6 +66,11 @@ def classify_chain(chain: Chain, config: StratumConfig) -> Stratum:
     return Stratum.SECONDARY
 
 
+def chain_strata(key: Partition, config: StratumConfig) -> list[Stratum]:
+    """The stratum of every key chain, in canonical chain (table row) order."""
+    return [classify_chain(chain, config) for chain in key.chains]
+
+
 def stratify(
     key: Partition, config: StratumConfig
 ) -> dict[Stratum, frozenset[Chain]]:
@@ -81,36 +92,42 @@ def project(p: Partition, keep: Iterable[Mention]) -> Partition:
     return Partition(p.doc_id, chains, p.role)
 
 
+def table_singleton_detection(t: Overlap) -> PRCounts:
+    """Key singletons whose one cell lands in a response singleton, over
+    the key and the response singleton counts."""
+    found = sum(
+        1
+        for n, row in zip(t.key_sizes, t.rows)
+        if n == 1 and any(t.response_sizes[j] == 1 for j in row)
+    )
+    return PRCounts(found, t.key_sizes.count(1), found, t.response_sizes.count(1))
+
+
 def singleton_detection_counts(key: Partition, response: Partition) -> PRCounts:
     """A singleton is detected only when its span is a singleton on both sides."""
-    check_same_doc(key, response)
-    key_singles = key.singleton_mentions
-    resp_singles = response.singleton_mentions
-    found = len(key_singles & resp_singles)
-    return PRCounts(found, len(key_singles), found, len(resp_singles))
+    return table_singleton_detection(overlap(key, response))
 
 
 def singleton_detection(key: Partition, response: Partition) -> ScoreTriple:
     return singleton_detection_counts(key, response).triple()
 
 
-def leakage_count(key: Partition, response: Partition, config: StratumConfig) -> int:
-    """Response chains whose key mentions span at least two strata.
+def table_leakage(t: Overlap, strata: Sequence[Stratum]) -> int:
+    """Response columns with cells in rows of two or more strata.
 
-    Response-only mentions carry no stratum label and are ignored here.
+    ``strata`` labels the table's rows.  Response-only mentions lie in no
+    cell, so they carry no stratum label and are ignored here.
     """
-    check_same_doc(key, response)
-    label: dict[Mention, Stratum] = {}
-    for chain in key.chains:
-        stratum = classify_chain(chain, config)
-        for m in chain.mentions:
-            label[m] = stratum
-    count = 0
-    for chain in response.chains:
-        strata = {label[m] for m in chain.mentions if m in label}
-        if len(strata) >= 2:
-            count += 1
-    return count
+    seen: list[set[Stratum]] = [set() for _ in t.response_sizes]
+    for stratum, row in zip(strata, t.rows):
+        for j in row:
+            seen[j].add(stratum)
+    return sum(len(labels) >= 2 for labels in seen)
+
+
+def leakage_count(key: Partition, response: Partition, config: StratumConfig) -> int:
+    """Response chains whose key mentions span at least two strata."""
+    return table_leakage(overlap(key, response), chain_strata(key, config))
 
 
 @dataclass(frozen=True)
@@ -144,3 +161,16 @@ def stratum_pairs(
         out[stratum] = (key_slice, resp_slice)
     return out
 
+
+def stratum_tables(t: Overlap, strata: Sequence[Stratum]) -> dict[Stratum, Overlap]:
+    """Per-stratum projections of the table, non-empty strata only.
+
+    ``strata`` labels the table's rows; the result scores exactly as the
+    ``stratum_pairs`` slices of the same document do.
+    """
+    out: dict[Stratum, Overlap] = {}
+    for stratum in Stratum:
+        rows = [i for i, s in enumerate(strata) if s is stratum]
+        if rows:
+            out[stratum] = t.project(rows)
+    return out

@@ -220,11 +220,12 @@ class TestInputErrors:
 
 class TestStratifyCommand:
     def test_degrade_warning_on_stderr(self, fixtures_dir, capsys):
+        key = fixtures_dir / "derived_key.jsonl"
         rc = main(
             [
                 "stratify",
                 "--key",
-                str(fixtures_dir / "derived_key.jsonl"),
+                str(key),
                 "--response",
                 str(fixtures_dir / "derived_response.jsonl"),
                 "--long-threshold",
@@ -235,7 +236,9 @@ class TestStratifyCommand:
         )
         captured = capsys.readouterr()
         assert rc == 0
-        assert "warning: no key mention carries is_named" in captured.err
+        assert captured.err.startswith(
+            f"warning: {key}: no key mention carries is_named"
+        )
         assert "require_named,false" in captured.out
         assert "major,muc" in captured.out
 
@@ -344,20 +347,17 @@ LOADED_AFTER_MAIN = (
 
 @pytest.mark.parametrize(
     "command",
-    [None, "score", "stratify", "pathology"],
-    ids=["import", "score", "stratify", "pathology"],
+    [None, "score", "stratify", "pathology", "stats"],
+    ids=["import", "score", "stratify", "pathology", "stats"],
 )
 def test_scoring_never_imports_numpy_or_scipy(fixtures_dir, command):
-    """Start-up stays light: only the stats command's Zipf fit loads numpy."""
+    """Start-up stays light: no command, the stats Zipf fit included,
+    loads numpy or scipy."""
     args = []
     if command is not None:
-        args = [
-            command,
-            "--key",
-            str(fixtures_dir / "pathology_key.jsonl"),
-            "--response",
-            str(fixtures_dir / "pathology_response.jsonl"),
-        ]
+        args = [command, "--key", str(fixtures_dir / "pathology_key.jsonl")]
+    if command not in (None, "stats"):
+        args += ["--response", str(fixtures_dir / "pathology_response.jsonl")]
     proc = subprocess.run(
         [sys.executable, "-c", LOADED_AFTER_MAIN, *args],
         capture_output=True,

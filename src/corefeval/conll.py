@@ -16,9 +16,12 @@ whitespace-separated column is interpreted:
 Closes bind to the most recent open of the same chain (per-chain stack),
 which handles nested mentions.  Every open must be closed by the end of
 the document.  One span may not belong to two different chains; the same
-span repeated inside one chain collapses silently (set semantics).
+span repeated inside one chain collapses silently (set semantics).  Each
+span goes straight into the document's ``DocumentBuilder``, which checks
+it; no ``Mention`` is built.
 
-Parsing is streaming: ``iter_conll`` holds one document at a time.
+Parsing is streaming: ``iter_conll`` holds one document at a time, and
+only a line starting with ``#`` is tried as a ``#begin``/``#end`` line.
 """
 
 from __future__ import annotations
@@ -26,107 +29,72 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator
 
-from .errors import DuplicateSpan, ParseError, UnbalancedBracket
-from .model import Chain, CorpusSource, Document, Mention, Partition, Role, SourceFormat
+from .errors import ParseError, UnbalancedBracket
+from .model import CorpusSource, Document, DocumentBuilder, Partition, Role, SourceFormat
 
 _BEGIN = re.compile(r"#begin document (.+)")
 _END = "#end document"
 _ITEM = re.compile(r"\((\d+)\)|\((\d+)|(\d+)\)")
 
 
-class _DocBuilder:
-    def __init__(self, doc_id: str):
-        self.doc_id = doc_id
-        self.n_tokens = 0
-        self.open_stacks: dict[str, list[int]] = {}
-        self.spans: dict[str, set[tuple[int, int]]] = {}
-        self.owner: dict[tuple[int, int], str] = {}
-
-    def add_span(self, chain_id: str, start: int, end: int) -> None:
-        span = (start, end)
-        previous = self.owner.get(span)
-        if previous is not None and previous != chain_id:
-            raise DuplicateSpan(
-                f"span {span} assigned to chains {previous} and {chain_id} "
-                f"in document {self.doc_id!r}"
-            )
-        self.owner[span] = chain_id
-        self.spans.setdefault(chain_id, set()).add(span)
-
-    def token(self, coref: str, lineno: int) -> None:
-        index = self.n_tokens
-        self.n_tokens += 1
-        if coref == "-":
-            return
-        for item in coref.split("|"):
-            match = _ITEM.fullmatch(item)
-            if match is None:
-                raise ParseError(f"bad coreference item {item!r}", line=lineno)
-            unit, opened, closed = match.groups()
-            if unit is not None:
-                self.add_span(unit, index, index)
-            elif opened is not None:
-                self.open_stacks.setdefault(opened, []).append(index)
-            else:
-                stack = self.open_stacks.get(closed)
-                if not stack:
-                    raise UnbalancedBracket(
-                        f"close without open for chain {closed}", line=lineno
-                    )
-                self.add_span(closed, stack.pop(), index)
-
-    def finish(self, lineno: int, role: Role) -> tuple[Document, Partition]:
-        unclosed = sorted(cid for cid, stack in self.open_stacks.items() if stack)
-        if unclosed:
-            raise UnbalancedBracket(
-                f"chains never closed in document {self.doc_id!r}: "
-                + ", ".join(unclosed),
-                line=lineno,
-            )
-        chains = [
-            Chain(cid, (Mention(self.doc_id, s, e) for s, e in spans))
-            for cid, spans in self.spans.items()
-        ]
-        return (
-            Document(self.doc_id, self.n_tokens),
-            Partition(self.doc_id, chains, role),
-        )
-
-
 def iter_conll(
     lines: Iterable[str], role: Role | str = Role.KEY
 ) -> Iterator[tuple[Document, Partition]]:
-    """Yield one (Document, Partition) per ``#begin``/``#end`` block."""
+    """Yield one (Document, Partition) per ``#begin``/``#end`` block.
+
+    A document id seen before is an error naming its ``#begin`` line.
+    """
     role = Role(role)
-    builder: _DocBuilder | None = None
-    lineno = 0
+    seen: set[str] = set()
+    doc: DocumentBuilder | None = None
+    stacks: dict[str, list[int]] = {}
+    index = lineno = 0
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
-        if builder is None:
-            if not line:
-                continue
+        if not line:
+            continue
+        if doc is not None and line[0] != "#":
+            coref = line.rsplit(None, 1)[-1]
+            for item in () if coref == "-" else coref.split("|"):
+                match = _ITEM.fullmatch(item)
+                if match is None:
+                    raise ParseError(f"bad coreference item {item!r}", line=lineno)
+                unit, opened, closed = match.groups()
+                if unit is not None:
+                    doc.add(unit, index, index, lineno)
+                elif opened is not None:
+                    stacks.setdefault(opened, []).append(index)
+                elif stacks.get(closed):
+                    doc.add(closed, stacks[closed].pop(), index, lineno)
+                else:
+                    raise UnbalancedBracket(
+                        f"close without open for chain {closed}", line=lineno
+                    )
+            index += 1
+        elif doc is None:
             begin = _BEGIN.fullmatch(line)
             if begin is None:
                 raise ParseError(f"expected #begin document, got {line!r}", line=lineno)
-            builder = _DocBuilder(begin.group(1))
-            continue
-        if line == _END:
-            yield builder.finish(lineno, role)
-            builder = None
+            doc = DocumentBuilder(begin.group(1), lineno, seen=seen)
+            stacks, index = {}, 0
+        elif line == _END:
+            unclosed = sorted(cid for cid, stack in stacks.items() if stack)
+            if unclosed:
+                raise UnbalancedBracket(
+                    f"chains never closed in document {doc.doc_id!r}: "
+                    + ", ".join(unclosed),
+                    line=lineno,
+                )
+            yield doc.finish(role, index)
+            doc = None
         elif _BEGIN.fullmatch(line):
             raise ParseError(
-                f"#begin document inside document {builder.doc_id!r}", line=lineno
+                f"#begin document inside document {doc.doc_id!r}", line=lineno
             )
-        elif not line or line.startswith("#"):
-            continue
-        else:
-            builder.token(line.split()[-1], lineno)
-    if builder is not None:
-        raise ParseError(
-            f"missing #end document for {builder.doc_id!r}", line=lineno
-        )
+    if doc is not None:
+        raise ParseError(f"missing #end document for {doc.doc_id!r}", line=lineno)
 
 
 def parse_conll(lines: Iterable[str], role: Role | str = Role.KEY) -> CorpusSource:
     """Parse a whole CoNLL stream into a validated corpus."""
-    return CorpusSource(SourceFormat.CONLL, iter_conll(lines, role))
+    return CorpusSource.of_checked(SourceFormat.CONLL, iter_conll(lines, role))

@@ -193,7 +193,7 @@ def effective_stratum_config(
     """Degrade require_named when no key mention in the corpus is named."""
     if not config.require_named:
         return config
-    if any(m.is_named for p in pairs for c in p.key.chains for m in c.mentions):
+    if any(p.key.named for p in pairs):
         return config
     warnings.warn(
         "no key mention carries is_named; require_named degraded to false "

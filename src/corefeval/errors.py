@@ -4,7 +4,17 @@ from __future__ import annotations
 
 
 class CorefEvalError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``line`` is the 1-based input line the error is about, when known;
+    the message then starts with ``line N:``.
+    """
+
+    def __init__(self, message: str, line: int | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
 
 
 class ModelError(CorefEvalError):
@@ -37,13 +47,7 @@ class EmptySeries(CorefEvalError):
 
 
 class ParseError(CorefEvalError):
-    """Malformed input text.  ``line`` is the 1-based line number when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    """Malformed input text."""
 
 
 class UnbalancedBracket(ParseError):

@@ -11,7 +11,8 @@ One JSON record per document:
 is the only input format that can carry the named-entity flag used by
 stratification.  Unknown record fields are tolerated.  Emission is
 byte-deterministic, omits defaulted fields, and parse -> emit is a fixed
-point up to field ordering.
+point up to field ordering.  Each mention goes straight into the
+document's ``DocumentBuilder``, which checks it; no ``Mention`` is built.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from __future__ import annotations
 import json
 from typing import IO, Iterable, Iterator
 
-from .errors import DuplicateSpan, ParseError, RangeError, SchemaError
-from .model import Chain, CorpusSource, Document, Mention, Partition, Role, SourceFormat
+from .errors import ParseError, SchemaError
+from .model import CorpusSource, Document, DocumentBuilder, Partition, Role, SourceFormat
 
 
 def _field(record: dict, name: str, kind: type, lineno: int):
@@ -36,56 +37,34 @@ def _field(record: dict, name: str, kind: type, lineno: int):
     return value
 
 
-def _parse_mention(doc_id: str, raw: dict, num_tokens: int, lineno: int) -> Mention:
-    start = _field(raw, "start", int, lineno)
-    end = _field(raw, "end", int, lineno)
-    if not 0 <= start <= end < num_tokens:
-        raise RangeError(
-            f"mention ({start}, {end}) outside document {doc_id!r} "
-            f"with {num_tokens} tokens",
-            line=lineno,
-        )
-    is_named = raw.get("is_named", False)
-    if not isinstance(is_named, bool):
-        raise SchemaError("field 'is_named' must be a boolean", line=lineno)
-    surface = raw.get("surface")
-    if surface is not None and not isinstance(surface, str):
-        raise SchemaError("field 'surface' must be a string", line=lineno)
-    return Mention(doc_id, start, end, is_named=is_named, surface=surface)
-
-
-def _parse_record(record: dict, role: Role, lineno: int) -> tuple[Document, Partition]:
+def _parse_record(
+    record: dict, role: Role, lineno: int, seen: set[str]
+) -> tuple[Document, Partition]:
     doc_id = _field(record, "doc_id", str, lineno)
     num_tokens = _field(record, "num_tokens", int, lineno)
     raw_chains = _field(record, "chains", list, lineno)
-    chains = []
-    seen_ids: set[str] = set()
-    owner: dict[tuple[int, int], str] = {}
+    doc = DocumentBuilder(doc_id, lineno, num_tokens, seen)
     for raw_chain in raw_chains:
         if not isinstance(raw_chain, dict):
             raise SchemaError("each chain must be an object", line=lineno)
         chain_id = _field(raw_chain, "chain_id", str, lineno)
-        if chain_id in seen_ids:
-            raise SchemaError(f"duplicate chain_id {chain_id!r}", line=lineno)
-        seen_ids.add(chain_id)
+        doc.chain(chain_id, lineno)
         raw_mentions = _field(raw_chain, "mentions", list, lineno)
         if not raw_mentions:
             raise SchemaError(f"chain {chain_id!r} has no mentions", line=lineno)
-        mentions = []
         for raw_mention in raw_mentions:
             if not isinstance(raw_mention, dict):
                 raise SchemaError("each mention must be an object", line=lineno)
-            m = _parse_mention(doc_id, raw_mention, num_tokens, lineno)
-            previous = owner.get(m.span)
-            if previous is not None and previous != chain_id:
-                raise DuplicateSpan(
-                    f"span {m.span} in chains {previous!r} and {chain_id!r} "
-                    f"of document {doc_id!r} (line {lineno})"
-                )
-            owner[m.span] = chain_id
-            mentions.append(m)
-        chains.append(Chain(chain_id, dict.fromkeys(mentions)))
-    return Document(doc_id, num_tokens), Partition(doc_id, chains, role)
+            start = _field(raw_mention, "start", int, lineno)
+            end = _field(raw_mention, "end", int, lineno)
+            is_named = raw_mention.get("is_named", False)
+            if not isinstance(is_named, bool):
+                raise SchemaError("field 'is_named' must be a boolean", line=lineno)
+            surface = raw_mention.get("surface")
+            if surface is not None and not isinstance(surface, str):
+                raise SchemaError("field 'surface' must be a string", line=lineno)
+            doc.add(chain_id, start, end, lineno, is_named, surface)
+    return doc.finish(role)
 
 
 def iter_jsonl(
@@ -93,6 +72,7 @@ def iter_jsonl(
 ) -> Iterator[tuple[Document, Partition]]:
     """Yield one (Document, Partition) per JSON record; blank lines skipped."""
     role = Role(role)
+    seen: set[str] = set()
     for lineno, raw in enumerate(lines, 1):
         if not raw.strip():
             continue
@@ -103,26 +83,26 @@ def iter_jsonl(
             raise ParseError(f"invalid JSON: {exc}", line=lineno) from None
         if not isinstance(record, dict):
             raise SchemaError("each record must be an object", line=lineno)
-        yield _parse_record(record, role, lineno)
+        yield _parse_record(record, role, lineno, seen)
 
 
 def parse_jsonl(lines: Iterable[str], role: Role | str = Role.KEY) -> CorpusSource:
     """Parse a whole jsonl stream into a validated corpus."""
-    return CorpusSource(SourceFormat.JSONL, iter_jsonl(lines, role))
+    return CorpusSource.of_checked(SourceFormat.JSONL, iter_jsonl(lines, role))
 
 
 def _record_of(doc: Document, part: Partition) -> dict:
     chains = []
-    for chain in part.chains:
+    for chain_id, spans in zip(part.chain_ids, part.spans):
         mentions = []
-        for m in chain.mentions:
-            entry: dict = {"start": m.start, "end": m.end}
-            if m.is_named:
+        for span in spans:
+            entry: dict = {"start": span[0], "end": span[1]}
+            if span in part.named:
                 entry["is_named"] = True
-            if m.surface is not None:
-                entry["surface"] = m.surface
+            if span in part.surfaces:
+                entry["surface"] = part.surfaces[span]
             mentions.append(entry)
-        chains.append({"chain_id": chain.chain_id, "mentions": mentions})
+        chains.append({"chain_id": chain_id, "mentions": mentions})
     return {"doc_id": doc.doc_id, "num_tokens": doc.num_tokens, "chains": chains}
 
 

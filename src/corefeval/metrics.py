@@ -40,12 +40,12 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import MissingMetric
 from .model import (
-    Chain,
     Partition,
     ScoreTriple,
     ZERO_TRIPLE,
     check_same_doc,
     mentions_of,
+    project,
 )
 
 
@@ -190,19 +190,17 @@ class Overlap:
 def overlap(key: Partition, response: Partition) -> Overlap:
     """The overlap table of two partitions of one document."""
     check_same_doc(key, response)
-    index = {chain.chain_id: j for j, chain in enumerate(response.chains)}
-    by_mention = response.chain_by_mention
+    chain_of = {span: j for j, spans in enumerate(response.spans) for span in spans}
     rows = []
-    for chain in key.chains:
+    for spans in key.spans:
         row: dict[int, int] = {}
-        for m in chain.mentions:
-            target = by_mention.get(m)
-            if target is not None:
-                j = index[target.chain_id]
+        for span in spans:
+            j = chain_of.get(span)
+            if j is not None:
                 row[j] = row.get(j, 0) + 1
         rows.append(row)
     return Overlap(
-        tuple(map(len, key.chains)), tuple(map(len, response.chains)), tuple(rows)
+        tuple(map(len, key.spans)), tuple(map(len, response.spans)), tuple(rows)
     )
 
 
@@ -375,11 +373,11 @@ def optimal_alignment(
 ) -> Alignment:
     """Maximum-total-similarity one-to-one alignment of chains."""
     pairs, total = _align(overlap(key, response), CeafVariant(variant))
-    left = sorted(set(range(len(key.chains))) - {i for i, _ in pairs})
-    right = sorted(set(range(len(response.chains))) - {j for _, j in pairs})
+    left = sorted(set(range(len(key))) - {i for i, _ in pairs})
+    right = sorted(set(range(len(response))) - {j for _, j in pairs})
     return Alignment(
         tuple(
-            (key.chains[i].chain_id, response.chains[j].chain_id)
+            (key.chain_ids[i], response.chain_ids[j])
             for i, j in sorted(pairs + list(zip(left, right)))
         ),
         total,
@@ -544,19 +542,9 @@ def conll_average(report: MetricReport) -> float:
 
 
 def remove_spurious(response: Partition, key: Partition) -> Partition:
-    """Delete response mentions absent from the key; drop emptied chains.
-
-    Chain ids are preserved; kept mentions are the response's own objects,
-    so their metadata survives.
-    """
+    """Delete response mentions absent from the key; drop emptied chains."""
     check_same_doc(key, response)
-    keep = mentions_of(key)
-    chains = []
-    for chain in response.chains:
-        kept = [m for m in chain.mentions if m in keep]
-        if kept:
-            chains.append(Chain(chain.chain_id, kept))
-    return Partition(response.doc_id, chains, response.role)
+    return project(response, mentions_of(key))
 
 
 @dataclass(frozen=True)

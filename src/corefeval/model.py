@@ -1,5 +1,16 @@
 """Domain model: documents, mentions, chains, partitions, score triples.
 
+A ``Partition`` stores spans: its chain ids in canonical (sorted) order,
+each chain's sorted (start, end) tuples, the set of spans flagged
+is_named and a sparse span -> surface map.  Scoring, stratification and
+stats read only these.  ``Chain`` and ``Mention`` objects are views for
+API callers, built on first access to ``Partition.chains`` (or
+``mention_set``, ``chain_by_mention``); no command builds them.
+
+Input is checked once, in ``DocumentBuilder``: both parsers and
+``Partition(...)`` go through it, and its errors name the input line.
+(``Mention``, ``Chain`` and ``Document`` check their own arguments.)
+
 Identity rules: ``Mention`` equality and hashing use only the
 (doc_id, start, end) span; ``is_named`` and ``surface`` are carried
 metadata and never affect identity.  Chains and partitions normalize
@@ -7,16 +18,18 @@ their contents into a canonical order on construction, so equal values
 compare equal regardless of input order and every downstream iteration
 (including float accumulation in the metrics) is deterministic.
 
-All types are immutable after construction and safe to share across
-threads.
+All types but ``DocumentBuilder`` are immutable after construction and
+safe to share across threads.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import DocMismatch, DuplicateSpan, ModelError, RangeError
 
@@ -112,44 +125,149 @@ class Chain:
         return frozenset(self.mentions)
 
 
+Span = tuple[int, int]
+
+_NO_NAMES: frozenset[Span] = frozenset()
+_NO_SURFACES: Mapping[Span, str] = MappingProxyType({})
+
+
+class DocumentBuilder:
+    """The one place input is checked: both parsers and ``Partition(...)``
+    put a document's spans in through ``add``.
+
+    ``add`` checks 0 <= start <= end < num_tokens and that no span is in
+    two chains, ``chain`` that a chain id is new, and the constructor that
+    the document id is not in ``seen`` and the token count is not
+    negative.  A span repeated in one chain collapses, keeping the
+    metadata of its first occurrence.  Errors name ``line`` when given.
+    """
+
+    def __init__(
+        self,
+        doc_id: str,
+        line: Optional[int] = None,
+        num_tokens: Optional[int] = None,
+        seen: Optional[set[str]] = None,
+    ):
+        if seen is not None:
+            if doc_id in seen:
+                raise ModelError(f"duplicate document id {doc_id!r}", line=line)
+            seen.add(doc_id)
+        if num_tokens is not None and num_tokens < 0:
+            raise ModelError(f"num_tokens must be >= 0, got {num_tokens}", line=line)
+        self.doc_id, self.num_tokens = doc_id, num_tokens
+        self.limit = sys.maxsize if num_tokens is None else num_tokens
+        self.chains: dict[str, list[Span]] = {}
+        self.owner: dict[Span, str] = {}
+        self.named: set[Span] = set()
+        self.surfaces: dict[Span, str] = {}
+
+    def chain(self, chain_id: str, line: Optional[int] = None) -> None:
+        """Open a chain; ``add`` opens one itself if it is not yet open."""
+        if chain_id in self.chains:
+            raise ModelError(
+                f"duplicate chain id {chain_id!r} in document {self.doc_id!r}", line=line
+            )
+        self.chains[chain_id] = []
+
+    def add(
+        self,
+        chain_id: str,
+        start: int,
+        end: int,
+        line: Optional[int] = None,
+        is_named: bool = False,
+        surface: Optional[str] = None,
+    ) -> None:
+        if not 0 <= start <= end < self.limit:
+            raise RangeError(
+                f"mention ({start}, {end}) outside document {self.doc_id!r} "
+                f"with {self.num_tokens} tokens",
+                line=line,
+            )
+        span = (start, end)
+        previous = self.owner.get(span)
+        if previous is not None:
+            if previous != chain_id:
+                raise DuplicateSpan(
+                    f"span {span} in chains {previous!r} and {chain_id!r} "
+                    f"of document {self.doc_id!r}",
+                    line=line,
+                )
+            return
+        self.owner[span] = chain_id
+        self.chains.setdefault(chain_id, []).append(span)
+        if is_named:
+            self.named.add(span)
+        if surface is not None:
+            self.surfaces[span] = surface
+
+    def finish(
+        self, role: Role | str, num_tokens: Optional[int] = None
+    ) -> tuple[Document, Partition]:
+        """The document and its partition; ``num_tokens`` if not given before."""
+        partition = Partition.__new__(Partition)
+        partition._store(self, role)
+        n = self.num_tokens if num_tokens is None else num_tokens
+        return Document(self.doc_id, n), partition
+
+
 @dataclass(frozen=True)
 class Partition:
-    """A division of a document's mentions into disjoint chains.
+    """A division of a document's mentions into disjoint chains, as spans.
 
-    Chains are stored sorted by chain_id; every span may appear in at
-    most one chain; chain ids are unique within the partition.
+    ``chain_ids`` holds the chain ids sorted (the canonical chain order)
+    and ``spans[i]`` the sorted (start, end) spans of chain i; ``named``
+    holds the spans flagged is_named and ``surfaces`` maps a span to its
+    surface text where one was given.  Equality ignores that metadata, as
+    ``Mention`` equality does.  ``chains``, ``mention_set`` and
+    ``chain_by_mention`` are ``Chain``/``Mention`` views for API callers,
+    built on first access; scoring, strata and stats read the spans.
     """
 
     doc_id: str
-    chains: tuple[Chain, ...]
     role: Role
+    chain_ids: tuple[str, ...]
+    spans: tuple[tuple[Span, ...], ...]
+    named: frozenset[Span] = field(compare=False)
+    surfaces: Mapping[Span, str] = field(compare=False)
 
     def __init__(self, doc_id: str, chains: Iterable[Chain], role: Role | str):
-        ordered = tuple(sorted(chains, key=lambda c: c.chain_id))
-        seen_ids: set[str] = set()
-        owner: dict[Mention, str] = {}
-        for chain in ordered:
+        builder = DocumentBuilder(doc_id)
+        for chain in chains:
             if chain.doc_id != doc_id:
                 raise ModelError(
                     f"chain {chain.chain_id!r} belongs to document {chain.doc_id!r}, "
                     f"not {doc_id!r}"
                 )
-            if chain.chain_id in seen_ids:
-                raise ModelError(f"duplicate chain id {chain.chain_id!r} in {doc_id!r}")
-            seen_ids.add(chain.chain_id)
+            builder.chain(chain.chain_id)
             for m in chain.mentions:
-                if m in owner:
-                    raise DuplicateSpan(
-                        f"span {m.span} in chains {owner[m]!r} and {chain.chain_id!r} "
-                        f"of document {doc_id!r}"
-                    )
-                owner[m] = chain.chain_id
-        object.__setattr__(self, "doc_id", doc_id)
-        object.__setattr__(self, "chains", ordered)
-        object.__setattr__(self, "role", Role(role))
+                builder.add(chain.chain_id, m.start, m.end, None, m.is_named, m.surface)
+        self._store(builder, role)
+
+    def _store(self, built: DocumentBuilder, role: Role | str) -> None:
+        ids = sorted(built.chains)
+        fields = {
+            "doc_id": built.doc_id,
+            "role": Role(role),
+            # Interned: the ids that recur in every document ("0", "1", ...
+            # in CoNLL) are then held once per corpus.
+            "chain_ids": tuple(map(sys.intern, ids)),
+            "spans": tuple(tuple(sorted(built.chains[c])) for c in ids),
+            "named": frozenset(built.named) if built.named else _NO_NAMES,
+            "surfaces": built.surfaces or _NO_SURFACES,
+        }
+        vars(self).update(fields)
 
     def __len__(self) -> int:
-        return len(self.chains)
+        return len(self.chain_ids)
+
+    @cached_property
+    def chains(self) -> tuple[Chain, ...]:
+        def mention(span: Span) -> Mention:
+            return Mention(self.doc_id, *span, span in self.named, self.surfaces.get(span))
+
+        return tuple(map(Chain, self.chain_ids, (map(mention, s) for s in self.spans)))
 
     @cached_property
     def mention_set(self) -> frozenset[Mention]:
@@ -173,6 +291,16 @@ def mentions_of(partition: Partition) -> frozenset[Mention]:
 def chain_of(partition: Partition, mention: Mention) -> Optional[Chain]:
     """The unique chain containing ``mention`` by span identity, or None."""
     return partition.chain_by_mention.get(mention)
+
+
+def project(p: Partition, keep: Iterable[Mention]) -> Partition:
+    """Intersect every chain with ``keep``; drop emptied chains, keep ids.
+
+    Kept mentions are the partition's own objects, so their metadata survives.
+    """
+    keep = frozenset(keep)
+    kept = [(c.chain_id, [m for m in c.mentions if m in keep]) for c in p.chains]
+    return Partition(p.doc_id, [Chain(i, ms) for i, ms in kept if ms], p.role)
 
 
 def check_same_doc(key: Partition, response: Partition) -> None:
@@ -231,25 +359,25 @@ class CorpusSource:
         format: SourceFormat | str,
         documents: Iterable[tuple[Document, Partition]],
     ):
-        docs = tuple((doc, part) for doc, part in documents)
+        docs = tuple(documents)
         seen: set[str] = set()
         for doc, part in docs:
             if part.doc_id != doc.doc_id:
                 raise ModelError(
                     f"partition for {part.doc_id!r} attached to document {doc.doc_id!r}"
                 )
-            if doc.doc_id in seen:
-                raise ModelError(f"duplicate document id {doc.doc_id!r}")
-            seen.add(doc.doc_id)
-            for chain in part.chains:
-                for m in chain.mentions:
-                    if m.end >= doc.num_tokens:
-                        raise RangeError(
-                            f"mention ({m.start}, {m.end}) outside document "
-                            f"{doc.doc_id!r} with {doc.num_tokens} tokens"
-                        )
-        object.__setattr__(self, "format", SourceFormat(format))
-        object.__setattr__(self, "documents", docs)
+            builder = DocumentBuilder(doc.doc_id, num_tokens=doc.num_tokens, seen=seen)
+            for chain_id, spans in zip(part.chain_ids, part.spans):
+                for span in spans:
+                    builder.add(chain_id, *span)
+        vars(self).update(format=SourceFormat(format), documents=docs)
+
+    @classmethod
+    def of_checked(cls, format: SourceFormat, documents: Iterable) -> CorpusSource:
+        """A corpus whose documents a ``DocumentBuilder`` has checked."""
+        source = cls.__new__(cls)
+        vars(source).update(format=format, documents=tuple(documents))
+        return source
 
     def __len__(self) -> int:
         return len(self.documents)

@@ -45,9 +45,9 @@ def compute_stats(docs: Iterable[tuple[Document, Partition]]) -> CorpusStats:
     num_tokens = 0
     for doc, part in sorted(docs, key=lambda pair: pair[0].doc_id):
         num_tokens += doc.num_tokens
-        for chain in part.chains:
-            histogram[len(chain)] += 1
-            entries.append((len(chain), doc.doc_id, chain.chain_id))
+        for chain_id, spans in zip(part.chain_ids, part.spans):
+            histogram[len(spans)] += 1
+            entries.append((len(spans), doc.doc_id, chain_id))
     num_singletons = histogram.get(1, 0)
     total_chains = sum(histogram.values())
     num_nonsingleton = total_chains - num_singletons

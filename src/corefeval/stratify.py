@@ -18,18 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ModelError
 from .metrics import MetricReport, Overlap, PRCounts, overlap
-from .model import (
-    Chain,
-    Mention,
-    Partition,
-    ScoreTriple,
-    check_same_doc,
-    mentions_of,
-)
+from .model import Chain, Partition, ScoreTriple, check_same_doc, mentions_of, project
 
 
 class Stratum(str, Enum):
@@ -56,40 +49,33 @@ class StratumConfig:
             )
 
 
-def classify_chain(chain: Chain, config: StratumConfig) -> Stratum:
-    if len(chain) == 1:
+def _stratum(size: int, named: bool, config: StratumConfig) -> Stratum:
+    if size == 1:
         return Stratum.SINGLETON
-    if len(chain) >= config.long_threshold and (
-        not config.require_named or any(m.is_named for m in chain.mentions)
-    ):
+    if size >= config.long_threshold and (not config.require_named or named):
         return Stratum.MAJOR
     return Stratum.SECONDARY
 
 
+def classify_chain(chain: Chain, config: StratumConfig) -> Stratum:
+    return _stratum(len(chain), any(m.is_named for m in chain.mentions), config)
+
+
 def chain_strata(key: Partition, config: StratumConfig) -> list[Stratum]:
     """The stratum of every key chain, in canonical chain (table row) order."""
-    return [classify_chain(chain, config) for chain in key.chains]
+    named = key.named
+    return [
+        _stratum(len(spans), bool(named) and not named.isdisjoint(spans), config)
+        for spans in key.spans
+    ]
 
 
 def stratify(
     key: Partition, config: StratumConfig
 ) -> dict[Stratum, frozenset[Chain]]:
     """Classify every key chain; the three sets partition key.chains."""
-    out: dict[Stratum, set[Chain]] = {s: set() for s in Stratum}
-    for chain in key.chains:
-        out[classify_chain(chain, config)].add(chain)
-    return {s: frozenset(chains) for s, chains in out.items()}
-
-
-def project(p: Partition, keep: Iterable[Mention]) -> Partition:
-    """Intersect every chain with ``keep``; drop emptied chains, keep ids."""
-    keep = frozenset(keep)
-    chains = []
-    for chain in p.chains:
-        kept = [m for m in chain.mentions if m in keep]
-        if kept:
-            chains.append(Chain(chain.chain_id, kept))
-    return Partition(p.doc_id, chains, p.role)
+    labels = chain_strata(key, config)
+    return {s: frozenset(c for c, x in zip(key.chains, labels) if x is s) for s in Stratum}
 
 
 def table_singleton_detection(t: Overlap) -> PRCounts:

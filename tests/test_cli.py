@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from corefeval import Mention, Role, emit_jsonl, parse_conll
 from corefeval.cli import main
 
 SCORE_CSV = (
@@ -156,6 +157,60 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith(f"error: {bad}: line 2: invalid JSON")
+
+    @pytest.mark.parametrize(
+        "name, text, line",
+        [
+            ("two.conll", "#begin document d\nw\t(0)|(1)\n#end document\n", 2),
+            (
+                "two.jsonl",
+                '{"doc_id": "d", "num_tokens": 1, "chains": ['
+                '{"chain_id": "0", "mentions": [{"start": 0, "end": 0}]}, '
+                '{"chain_id": "1", "mentions": [{"start": 0, "end": 0}]}]}\n',
+                1,
+            ),
+        ],
+        ids=["conll", "jsonl"],
+    )
+    def test_span_in_two_chains_reports_path_and_line(
+        self, tmp_path, capsys, name, text, line
+    ):
+        bad = tmp_path / name
+        bad.write_text(text, encoding="utf-8")
+        rc = main(["stats", "--key", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == (
+            f"error: {bad}: line {line}: span (0, 0) in chains '0' and '1' "
+            "of document 'd'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "name, text, line",
+        [
+            (
+                "dup.conll",
+                "#begin document d\nw\t-\n#end document\n\n"
+                "#begin document d\nw\t-\n#end document\n",
+                5,
+            ),
+            (
+                "dup.jsonl",
+                '{"doc_id": "d", "num_tokens": 1, "chains": []}\n\n' * 2,
+                3,
+            ),
+        ],
+        ids=["conll", "jsonl"],
+    )
+    def test_duplicate_document_reports_path_and_line(
+        self, tmp_path, capsys, name, text, line
+    ):
+        bad = tmp_path / name
+        bad.write_text(text, encoding="utf-8")
+        rc = main(["stats", "--key", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: {bad}: line {line}: duplicate document id 'd'\n"
 
     def test_document_mismatch(self, fixtures_dir, tmp_path, capsys):
         key = fixtures_dir / "derived_key.jsonl"
@@ -391,3 +446,69 @@ def test_reader_closing_the_pipe_early_exits_quietly(fixtures_dir):
         os.close(write_end)
     assert proc.returncode == 0
     assert proc.stderr == b""
+
+
+INPUT_PAIRS = {
+    "conll": ("nested_key.conll", "nested_response.conll"),
+    "derived": ("derived_key.jsonl", "derived_response.jsonl"),
+    "pathology": ("pathology_key.jsonl", "pathology_response.jsonl"),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(INPUT_PAIRS))
+@pytest.mark.parametrize("command", ["score", "stratify", "pathology", "stats"])
+def test_no_command_builds_a_mention(fixtures_dir, monkeypatch, capsys, pair, command):
+    """Commands read spans only: Mention objects are for API callers."""
+    built = []
+    post_init = Mention.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Mention, "__post_init__", counted)
+    key, response = (str(fixtures_dir / name) for name in INPUT_PAIRS[pair])
+    args = [command, "--key", key]
+    if command != "stats":
+        args += ["--response", response]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+@pytest.mark.parametrize("output", ["json", "csv", "table"])
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("score", []),
+        ("score", ["--averaging", "macro"]),
+        ("stratify", ["--long-threshold", "2"]),
+        ("pathology", []),
+        ("stats", []),
+    ],
+    ids=["score", "score-macro", "stratify", "pathology", "stats"],
+)
+def test_conll_and_its_jsonl_conversion_print_identical_reports(
+    fixtures_dir, tmp_path, capsys, command, extra, output
+):
+    """Both parsers feed one builder, so a CoNLL corpus and its jsonl
+    conversion give the same bytes on every command."""
+    paths = {}
+    for side, role in zip(INPUT_PAIRS["conll"], (Role.KEY, Role.RESPONSE)):
+        conll = fixtures_dir / side
+        jsonl = tmp_path / side.replace(".conll", ".jsonl")
+        with open(conll, encoding="utf-8") as stream, open(
+            jsonl, "w", encoding="utf-8"
+        ) as out:
+            emit_jsonl(parse_conll(stream, role), out)
+        paths[side] = (conll, jsonl)
+    printed = []
+    for i in (0, 1):
+        key, response = (str(paths[side][i]) for side in INPUT_PAIRS["conll"])
+        args = [command, "--key", key, "--output", output, *extra]
+        if command != "stats":
+            args += ["--response", response]
+        assert main(args) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert printed[0].strip()

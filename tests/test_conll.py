@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -203,3 +206,33 @@ def test_write_parse_round_trip(doc_part):
 def test_emitted_brackets_balance(doc_part):
     text = helpers.conll_text([doc_part])
     assert text.count("(") == text.count(")")
+
+
+def generated_corpus(docs: int = 60, chains: int = 12, size: int = 5) -> list[str]:
+    """``docs`` documents of ``chains`` chains with ``size`` mentions each:
+    every token opens a two-token mention or holds a one-token one."""
+    lines = []
+    for d in range(docs):
+        lines.append(f"#begin document gen/{d:04d}; part 000")
+        for c in range(chains):
+            for _ in range(size):
+                lines += [f"gen\t0\tw\t({c}", f"gen\t0\tw\t{c})", f"gen\t0\tw\t({c})"]
+                lines.append("")
+        lines.append("#end document")
+    return lines
+
+
+def test_parsed_corpus_holds_under_120_bytes_per_mention():
+    """Parsing keeps per-chain spans only; the Chain/Mention views are
+    built on access, and this test never touches them."""
+    lines = generated_corpus()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        source = parse_conll(lines)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(part) for _, part in source.documents) == 60 * 12
+    assert held / (60 * 12 * 5 * 2) < 120

@@ -98,8 +98,10 @@ def test_non_string_chain_id_rejected():
 def test_duplicate_chain_id_rejected():
     chain = {"chain_id": "a", "mentions": [{"start": 0, "end": 0}]}
     other = {"chain_id": "a", "mentions": [{"start": 1, "end": 1}]}
-    with pytest.raises(SchemaError):
+    with pytest.raises(ModelError) as exc:
         parse_one(record(chains=[chain, other]))
+    assert exc.value.line == 1
+    assert str(exc.value) == "line 1: duplicate chain id 'a' in document 'd'"
 
 
 def test_empty_mention_list_rejected():

@@ -39,8 +39,7 @@ import argparse
 import os
 import sys
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .corpus import (
     Averaging,
@@ -58,8 +57,7 @@ from .reports import OutputFormat, emit_report
 from .stratify import StratumConfig
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """One fully resolved CLI invocation."""
 
     command: str

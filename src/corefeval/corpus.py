@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import operator
 import warnings
-from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -61,6 +60,7 @@ from .model import (
     SourceFormat,
     ZERO_TRIPLE,
     check_same_doc,
+    checked_tuple,
 )
 from .stats import StatsReport, stats_report
 from .stratify import (
@@ -84,15 +84,14 @@ class Averaging(str, Enum):
     MACRO = "macro"
 
 
-@dataclass(frozen=True)
-class DocPair:
+class DocPair(checked_tuple("DocPair", "key response")):
     """The key and response partitions of one document."""
 
-    key: Partition
-    response: Partition
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_same_doc(self.key, self.response)
+    def __new__(cls, key: Partition, response: Partition):
+        check_same_doc(key, response)
+        return super().__new__(cls, key, response)
 
 
 def pair_corpora(
@@ -201,7 +200,7 @@ def effective_stratum_config(
         UserWarning,
         stacklevel=2,
     )
-    return replace(config, require_named=False)
+    return config._replace(require_named=False)
 
 
 def stratify_corpus(
@@ -303,7 +302,8 @@ def load_corpus(
 ) -> CorpusSource:
     """Read and parse one corpus file in the given format."""
     parse = parse_conll if SourceFormat(fmt) is SourceFormat.CONLL else parse_jsonl
-    with open(path, encoding="utf-8") as stream:
+    # utf-8-sig skips a leading byte-order mark, as editors on Windows write.
+    with open(path, encoding="utf-8-sig") as stream:
         try:
             return parse(stream, role)
         except UnicodeDecodeError as exc:

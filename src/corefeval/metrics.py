@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import MissingMetric
 from .model import (
+    Frozen,
     Partition,
     ScoreTriple,
     ZERO_TRIPLE,
@@ -67,8 +67,7 @@ class CeafVariant(str, Enum):
     ENTITY = "entity"
 
 
-@dataclass(frozen=True)
-class PRCounts:
+class PRCounts(NamedTuple):
     """Addable numerators/denominators for one recall/precision pair."""
 
     r_num: float = 0.0
@@ -77,12 +76,7 @@ class PRCounts:
     p_den: float = 0.0
 
     def __add__(self, other: "PRCounts") -> "PRCounts":
-        return PRCounts(
-            self.r_num + other.r_num,
-            self.r_den + other.r_den,
-            self.p_num + other.p_num,
-            self.p_den + other.p_den,
-        )
+        return PRCounts(*(a + b for a, b in zip(self, other)))
 
     @property
     def recall(self) -> float:
@@ -100,8 +94,7 @@ class PRCounts:
         return ScoreTriple.from_rp(self.recall, self.precision)
 
 
-@dataclass(frozen=True)
-class BlancCounts:
+class BlancCounts(NamedTuple):
     """BLANC's two link categories; the fallback rule lives in triple()."""
 
     coref: PRCounts = PRCounts()
@@ -134,8 +127,7 @@ def _pairs(n: int) -> int:
     return n * (n - 1) // 2
 
 
-@dataclass(frozen=True)
-class Overlap:
+class Overlap(Frozen):
     """Sparse key × response contingency table of one document.
 
     ``rows[i]`` maps response chain index j to |K_i ∩ R_j| and holds the
@@ -147,6 +139,10 @@ class Overlap:
     key_sizes: tuple[int, ...]
     response_sizes: tuple[int, ...]
     rows: tuple[dict[int, int], ...]
+    _compared = ("key_sizes", "response_sizes", "rows")
+
+    def __init__(self, key_sizes, response_sizes, rows):
+        vars(self).update(key_sizes=key_sizes, response_sizes=response_sizes, rows=rows)
 
     @cached_property
     def transposed(self) -> "Overlap":
@@ -353,8 +349,7 @@ def _align(t: Overlap, variant: CeafVariant) -> tuple[list[tuple[int, int]], flo
     return pairs, math.fsum(rows[i][j] for i, j in pairs)
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(NamedTuple):
     """A one-to-one chain matching and its total similarity.
 
     ``pairs`` holds min(|K|, |R|) (key chain id, response chain id) pairs:
@@ -511,8 +506,7 @@ def partition_tallies(key: Partition, response: Partition) -> dict[str, int]:
     return table_tallies(overlap(key, response))
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(NamedTuple):
     """Scores for the requested metrics plus corpus counts.
 
     ``conll_average`` is the mean F1 of muc, b3, and ceaf_e; it is None
@@ -547,8 +541,7 @@ def remove_spurious(response: Partition, key: Partition) -> Partition:
     return project(response, mentions_of(key))
 
 
-@dataclass(frozen=True)
-class PathologyReport:
+class PathologyReport(NamedTuple):
     """Scores before and after spurious-mention removal.
 
     ``recall_deltas`` holds after-minus-before recall per metric; MUC's

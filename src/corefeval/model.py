@@ -9,7 +9,6 @@ API callers, built on first access to ``Partition.chains`` (or
 
 Input is checked once, in ``DocumentBuilder``: both parsers and
 ``Partition(...)`` go through it, and its errors name the input line.
-(``Mention``, ``Chain`` and ``Document`` check their own arguments.)
 
 Identity rules: ``Mention`` equality and hashing use only the
 (doc_id, start, end) span; ``is_named`` and ``surface`` are carried
@@ -18,14 +17,18 @@ their contents into a canonical order on construction, so equal values
 compare equal regardless of input order and every downstream iteration
 (including float accumulation in the metrics) is deterministic.
 
-All types but ``DocumentBuilder`` are immutable after construction and
-safe to share across threads.
+``Document``, ``Mention`` and ``ScoreTriple`` are named tuples that check
+their fields in ``__new__`` (``_replace`` too); ``Chain``, ``Partition``
+and ``CorpusSource`` are ``Frozen`` plain classes.  No type is a
+dataclass, so no command pays for importing ``dataclasses`` and
+``inspect`` at start-up.  All types but ``DocumentBuilder`` are immutable
+after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
@@ -48,37 +51,77 @@ class SourceFormat(str, Enum):
     JSONL = "jsonl"
 
 
-@dataclass(frozen=True)
-class Document:
-    doc_id: str
-    num_tokens: int
-
-    def __post_init__(self):
-        if self.num_tokens < 0:
-            raise ModelError(f"num_tokens must be >= 0, got {self.num_tokens}")
+def checked_tuple(name: str, fields: str) -> type:
+    """The base of a named tuple that checks its fields in ``__new__``;
+    its ``_make``, and so ``_replace``, go through the constructor too."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
 
 
-@dataclass(frozen=True)
-class Mention:
+class Frozen:
+    """Base of the immutable plain classes.  Constructors set fields with
+    ``object.__setattr__`` or ``vars(self)``, where ``cached_property`` views
+    cache too; equality, hashing and repr read the ``_compared`` fields."""
+
+    _compared: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        same = type(other) is type(self)
+        return self._key() == other._key() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self._compared, self._key()))
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class Document(checked_tuple("Document", "doc_id num_tokens")):
+    __slots__ = ()
+
+    def __new__(cls, doc_id: str, num_tokens: int):
+        if num_tokens < 0:
+            raise ModelError(f"num_tokens must be >= 0, got {num_tokens}")
+        return super().__new__(cls, doc_id, num_tokens)
+
+
+class Mention(checked_tuple("Mention", "doc_id start end is_named surface")):
     """A token span [start, end], inclusive on both ends, 0-based."""
 
-    doc_id: str
-    start: int
-    end: int
-    is_named: bool = field(default=False, compare=False)
-    surface: Optional[str] = field(default=None, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.start <= self.end:
-            raise ModelError(f"invalid span ({self.start}, {self.end})")
+    def __new__(
+        cls, doc_id: str, start: int, end: int, is_named: bool = False, surface=None
+    ):
+        if not 0 <= start <= end:
+            raise ModelError(f"invalid span ({start}, {end})")
+        return super().__new__(cls, doc_id, start, end, is_named, surface)
+
+    def __eq__(self, other):
+        return self[:3] == other[:3] if isinstance(other, Mention) else NotImplemented
+
+    def __ne__(self, other):
+        return self[:3] != other[:3] if isinstance(other, Mention) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
 
     @property
     def span(self) -> tuple[int, int]:
         return (self.start, self.end)
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Frozen):
     """A non-empty set of mentions referring to one entity.
 
     Mentions are stored sorted by span, so two chains built from the same
@@ -87,6 +130,7 @@ class Chain:
 
     chain_id: str
     mentions: tuple[Mention, ...]
+    _compared = ("chain_id", "mentions")
 
     def __init__(self, chain_id: str, mentions: Iterable[Mention]):
         ordered = tuple(sorted(mentions, key=lambda m: (m.start, m.end)))
@@ -212,8 +256,7 @@ class DocumentBuilder:
         return Document(self.doc_id, n), partition
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """A division of a document's mentions into disjoint chains, as spans.
 
     ``chain_ids`` holds the chain ids sorted (the canonical chain order)
@@ -229,8 +272,9 @@ class Partition:
     role: Role
     chain_ids: tuple[str, ...]
     spans: tuple[tuple[Span, ...], ...]
-    named: frozenset[Span] = field(compare=False)
-    surfaces: Mapping[Span, str] = field(compare=False)
+    named: frozenset[Span]
+    surfaces: Mapping[Span, str]
+    _compared = ("doc_id", "role", "chain_ids", "spans")
 
     def __init__(self, doc_id: str, chains: Iterable[Chain], role: Role | str):
         builder = DocumentBuilder(doc_id)
@@ -319,8 +363,7 @@ def f1_of(recall: float, precision: float) -> float:
     return 2.0 * recall * precision / (recall + precision)
 
 
-@dataclass(frozen=True)
-class ScoreTriple:
+class ScoreTriple(checked_tuple("ScoreTriple", "recall precision f1")):
     """Recall, precision, F1, each in [0, 1].
 
     The f1-is-harmonic-mean relation is not enforced here: BLANC's overall
@@ -329,15 +372,14 @@ class ScoreTriple:
     Use ``from_rp`` when the harmonic relation should hold.
     """
 
-    recall: float
-    precision: float
-    f1: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("recall", "precision", "f1"):
-            v = getattr(self, name)
+    def __new__(cls, recall: float, precision: float, f1: float):
+        triple = super().__new__(cls, recall, precision, f1)
+        for name, v in zip(cls._fields, triple):
             if not 0.0 <= v <= 1.0:
                 raise ModelError(f"{name} out of range: {v}")
+        return triple
 
     @classmethod
     def from_rp(cls, recall: float, precision: float) -> "ScoreTriple":
@@ -347,12 +389,12 @@ class ScoreTriple:
 ZERO_TRIPLE = ScoreTriple(0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class CorpusSource:
+class CorpusSource(Frozen):
     """A parsed corpus: one (Document, Partition) per document, ids unique."""
 
     format: SourceFormat
     documents: tuple[tuple[Document, Partition], ...]
+    _compared = ("format", "documents")
 
     def __init__(
         self,

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import EmptySeries, ModelError
 from .model import Document, Partition
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     """Aggregate counts over a corpus.
 
     Ratios are None when their denominator is zero.
@@ -73,8 +71,7 @@ def rank_size_series(stats: CorpusStats) -> list[tuple[int, int]]:
     return list(stats.rank_size)
 
 
-@dataclass(frozen=True)
-class ZipfFit:
+class ZipfFit(NamedTuple):
     """OLS fit of log(size) against log(rank).
 
     ``r_squared`` is None when it is undefined: a single point, or zero
@@ -116,8 +113,7 @@ def zipf_fit(series: Sequence[tuple[float, float]]) -> ZipfFit:
     return ZipfFit(slope, intercept, r_squared, len(points))
 
 
-@dataclass(frozen=True)
-class StatsReport:
+class StatsReport(NamedTuple):
     """Bundle emitted by the stats command.
 
     ``series`` is the rank-size series actually emitted and fitted; with

@@ -16,13 +16,13 @@ it is the reference the table path is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ModelError
 from .metrics import MetricReport, Overlap, PRCounts, overlap
-from .model import Chain, Partition, ScoreTriple, check_same_doc, mentions_of, project
+from .model import Chain, Partition, ScoreTriple, check_same_doc, checked_tuple
+from .model import mentions_of, project
 
 
 class Stratum(str, Enum):
@@ -31,22 +31,19 @@ class Stratum(str, Enum):
     SINGLETON = "singleton"
 
 
-@dataclass(frozen=True)
-class StratumConfig:
+class StratumConfig(checked_tuple("StratumConfig", "long_threshold require_named")):
     """Classification knobs.
 
     A chain is major when its size reaches ``long_threshold`` and, if
     ``require_named`` is set, at least one mention carries is_named.
     """
 
-    long_threshold: int = 10
-    require_named: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.long_threshold < 2:
-            raise ModelError(
-                f"long_threshold must be >= 2, got {self.long_threshold}"
-            )
+    def __new__(cls, long_threshold: int = 10, require_named: bool = True):
+        if long_threshold < 2:
+            raise ModelError(f"long_threshold must be >= 2, got {long_threshold}")
+        return super().__new__(cls, long_threshold, require_named)
 
 
 def _stratum(size: int, named: bool, config: StratumConfig) -> Stratum:
@@ -116,8 +113,7 @@ def leakage_count(key: Partition, response: Partition, config: StratumConfig) ->
     return table_leakage(overlap(key, response), chain_strata(key, config))
 
 
-@dataclass(frozen=True)
-class StratifiedReport:
+class StratifiedReport(NamedTuple):
     """Per-stratum scores plus the cross-stratum diagnostics.
 
     ``per_stratum`` contains only strata with at least one key chain.

@@ -149,6 +149,21 @@ class TestInputErrors:
         assert rc == 1
         assert err.startswith(f"error: {bad}: line 3: invalid UTF-8")
 
+    @pytest.mark.parametrize(
+        "name", ["nested_key.conll", "pathology_key.jsonl"], ids=["conll", "jsonl"]
+    )
+    def test_utf8_byte_order_mark_is_skipped(
+        self, fixtures_dir, tmp_path, capsys, name
+    ):
+        marked = tmp_path / name
+        marked.write_bytes(b"\xef\xbb\xbf" + (fixtures_dir / name).read_bytes())
+        printed = []
+        for path in (fixtures_dir / name, marked):
+            assert main(["stats", "--key", str(path), "--output", "json"]) == 0
+            printed.append(capsys.readouterr())
+        assert printed[1] == printed[0]
+        assert printed[0].err == ""
+
     def test_deeply_nested_json_reports_path_and_line(self, tmp_path, capsys):
         bad = tmp_path / "deep.jsonl"
         record = '{"doc_id": "d", "num_tokens": 1, "chains": []}\n'
@@ -395,7 +410,8 @@ LOADED_AFTER_MAIN = (
     "import sys\n"
     "from corefeval.cli import main\n"
     "rc = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
-    "print('loaded:', *sorted({'numpy', 'scipy'} & set(sys.modules)), file=sys.stderr)\n"
+    "heavy = {'numpy', 'scipy', 'dataclasses', 'inspect'}\n"
+    "print('loaded:', *sorted(heavy & set(sys.modules)), file=sys.stderr)\n"
     "sys.exit(rc)\n"
 )
 
@@ -407,7 +423,8 @@ LOADED_AFTER_MAIN = (
 )
 def test_scoring_never_imports_numpy_or_scipy(fixtures_dir, command):
     """Start-up stays light: no command, the stats Zipf fit included,
-    loads numpy or scipy."""
+    loads numpy or scipy, and the record types need neither dataclasses
+    nor the inspect module it imports."""
     args = []
     if command is not None:
         args = [command, "--key", str(fixtures_dir / "pathology_key.jsonl")]
@@ -460,13 +477,13 @@ INPUT_PAIRS = {
 def test_no_command_builds_a_mention(fixtures_dir, monkeypatch, capsys, pair, command):
     """Commands read spans only: Mention objects are for API callers."""
     built = []
-    post_init = Mention.__post_init__
+    new = Mention.__new__
 
-    def counted(self):
-        built.append(self)
-        post_init(self)
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(Mention, "__post_init__", counted)
+    monkeypatch.setattr(Mention, "__new__", counted)
     key, response = (str(fixtures_dir / name) for name in INPUT_PAIRS[pair])
     args = [command, "--key", key]
     if command != "stats":

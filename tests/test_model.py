@@ -3,21 +3,34 @@ from hypothesis import given
 
 import helpers
 from corefeval import (
+    BlancCounts,
     Chain,
     CorpusSource,
     DocMismatch,
+    DocPair,
     Document,
     DuplicateSpan,
     Mention,
     ModelError,
     Partition,
+    PRCounts,
     RangeError,
     Role,
     ScoreTriple,
+    StratumConfig,
     chain_of,
+    compute_stats,
     f1_of,
     mentions_of,
+    optimal_alignment,
+    pathology,
+    score_all,
+    stats_report,
+    stratified_score,
+    zipf_fit,
 )
+from corefeval.cli import RunConfig
+from corefeval.metrics import overlap
 from corefeval.model import ZERO_TRIPLE, check_same_doc
 
 
@@ -41,6 +54,8 @@ class TestMention:
             Mention("d", 3, 1)
         with pytest.raises(ModelError):
             Mention("d", -1, 0)
+        with pytest.raises(ModelError):
+            mk(2)._replace(start=3)
 
     def test_span_property(self):
         assert mk(2, 5).span == (2, 5)
@@ -183,6 +198,8 @@ class TestScoreTriple:
             ScoreTriple(0.0, -0.1, 0.0)
         with pytest.raises(ModelError):
             ScoreTriple(0.0, 0.0, float("nan"))
+        with pytest.raises(ModelError):
+            ZERO_TRIPLE._replace(f1=1.5)
 
     def test_f1_of_convention(self):
         assert f1_of(0.0, 0.0) == 0.0
@@ -209,3 +226,71 @@ class TestCorpusSource:
         part = Partition("d", [Chain("c", [mk(0), mk(4)])], Role.KEY)
         src = CorpusSource("conll", [(Document("d", 5), part)])
         assert len(src) == 1
+
+
+def _record_twins():
+    """Two equal instances of every public record type, by type name; the
+    Mention and Partition twins differ in their metadata only."""
+    plain = Partition("d", [Chain("a", [mk(0, 1), mk(3)])], Role.KEY)
+    response = Partition(
+        "d", [Chain("x", [mk(0, 1)]), Chain("y", [mk(3), mk(4)])], Role.RESPONSE
+    )
+    doc = Document("d", 5)
+
+    def build():
+        return {
+            "Document": Document("d", 5),
+            "ScoreTriple": ScoreTriple(0.5, 0.25, 1 / 3),
+            "Chain": Chain("a", [mk(3), mk(0, 1)]),
+            "CorpusSource": CorpusSource("jsonl", [(doc, plain)]),
+            "DocPair": DocPair(plain, response),
+            "PRCounts": PRCounts(1, 2, 1, 4),
+            "BlancCounts": BlancCounts(PRCounts(1, 2, 1, 4)),
+            "Overlap": overlap(plain, response),
+            "Alignment": optimal_alignment(plain, response, "entity"),
+            "MetricReport": score_all(plain, response),
+            "PathologyReport": pathology(plain, response),
+            "StratifiedReport": stratified_score(plain, response),
+            "CorpusStats": compute_stats([(doc, plain)]),
+            "ZipfFit": zipf_fit([(1, 3), (2, 1)]),
+            "StatsReport": stats_report([(doc, plain)]),
+            "StratumConfig": StratumConfig(),
+            "RunConfig": RunConfig("stats", "key.jsonl"),
+        }
+
+    first, second = build(), build()
+    named = [mk(0, 1, is_named=True, surface="Ada"), mk(3, surface="she")]
+    first.update(Mention=named[0], Partition=Partition("d", [Chain("a", named)], "key"))
+    second.update(Mention=mk(0, 1), Partition=plain)
+    return {name: (first[name], second[name]) for name in first}
+
+
+RECORD_TWINS = _record_twins()
+# A field of these holds a dict, so they compare by value but cannot hash.
+UNHASHABLE = {
+    "CorpusStats",
+    "MetricReport",
+    "Overlap",
+    "PathologyReport",
+    "StatsReport",
+    "StratifiedReport",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_TWINS))
+def test_records_are_immutable_and_compare_by_value(name):
+    record, twin = RECORD_TWINS[name]
+    assert type(record).__name__ == name
+    assert record == twin and not record != twin
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin)
+    attributes = [a for a in dir(record) if not a.startswith("_")]
+    fields = [a for a in attributes if not callable(getattr(record, a))]
+    assert fields
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert record == twin

@@ -39,7 +39,7 @@ import argparse
 import os
 import sys
 import warnings
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .corpus import (
     Averaging,
@@ -55,21 +55,6 @@ from .metrics import ALL_METRICS, MetricId
 from .model import CorpusSource, Role, SourceFormat
 from .reports import OutputFormat, emit_report
 from .stratify import StratumConfig
-
-
-class RunConfig(NamedTuple):
-    """One fully resolved CLI invocation."""
-
-    command: str
-    key_path: str
-    response_path: Optional[str] = None
-    format: Optional[SourceFormat] = None
-    output: OutputFormat = OutputFormat.TABLE
-    long_threshold: int = 10
-    require_named: bool = True
-    averaging: Averaging = Averaging.MICRO
-    metrics: tuple[MetricId, ...] = ALL_METRICS
-    exclude_singletons: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,75 +134,60 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(namespace: argparse.Namespace) -> RunConfig:
-    fmt = namespace.format
-    return RunConfig(
-        command=namespace.command,
-        key_path=namespace.key_path,
-        response_path=getattr(namespace, "response_path", None),
-        format=None if fmt is None else SourceFormat(fmt),
-        output=OutputFormat(namespace.output),
-        long_threshold=getattr(namespace, "long_threshold", 10),
-        require_named=getattr(namespace, "require_named", True),
-        averaging=Averaging(getattr(namespace, "averaging", "micro")),
-        metrics=tuple(getattr(namespace, "metrics", ALL_METRICS)),
-        exclude_singletons=getattr(namespace, "exclude_singletons", False),
-    )
-
-
 def _infer_format(path: str) -> SourceFormat:
     if path.endswith((".jsonl", ".jl")):
         return SourceFormat.JSONL
-    if path.endswith(".conll") or path.endswith("conll"):
+    if path.endswith("conll"):
         return SourceFormat.CONLL
     raise CorefEvalError(
         f"cannot infer format of {path!r} from its extension; pass --format"
     )
 
 
-def _load(path: str, config: RunConfig, role: Role) -> CorpusSource:
-    fmt = config.format or _infer_format(path)
+def _load(path: str, fmt: Optional[str], role: Role) -> CorpusSource:
+    fmt = fmt or _infer_format(path)
     try:
         return load_corpus(path, fmt, role)
     except CorefEvalError as exc:
         raise CorefEvalError(f"{path}: {exc}") from None
 
 
-def _execute(config: RunConfig) -> str:
-    key = _load(config.key_path, config, Role.KEY)
-    if config.command == "stats":
-        report = corpus_stats_report(key, config.exclude_singletons)
-        return emit_report(report, config.output)
-    assert config.response_path is not None
-    response = _load(config.response_path, config, Role.RESPONSE)
+def _execute(args: argparse.Namespace) -> str:
+    # The library coerces the string flags to their enums; each command reads
+    # only the flags its subparser defines, so every default lives there.
+    key = _load(args.key_path, args.format, Role.KEY)
+    if args.command == "stats":
+        report = corpus_stats_report(key, args.exclude_singletons)
+        return emit_report(report, args.output)
+    response = _load(args.response_path, args.format, Role.RESPONSE)
     try:
         pairs = pair_corpora(key, response)
     except DocMismatch as exc:
         raise CorefEvalError(
-            f"{config.key_path} and {config.response_path}: {exc}"
+            f"{args.key_path} and {args.response_path}: {exc}"
         ) from None
-    if config.command == "score":
-        report = score_corpus(pairs, config.metrics, config.averaging)
-    elif config.command == "stratify":
-        stratum_config = StratumConfig(config.long_threshold, config.require_named)
+    if args.command == "score":
+        report = score_corpus(pairs, args.metrics, args.averaging)
+    elif args.command == "stratify":
+        stratum_config = StratumConfig(args.long_threshold, args.require_named)
         report = stratify_corpus(
-            pairs, stratum_config, config.metrics, config.averaging
+            pairs, stratum_config, args.metrics, args.averaging
         )
     else:
-        report = pathology_corpus(pairs, config.metrics, config.averaging)
-    return emit_report(report, config.output)
+        report = pathology_corpus(pairs, args.metrics, args.averaging)
+    return emit_report(report, args.output)
 
 
-def run(config: RunConfig) -> int:
-    """Execute one invocation; report goes to stdout, diagnostics to stderr."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed invocation; report goes to stdout, diagnostics to stderr."""
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            output = _execute(config)
+            output = _execute(args)
         # The one warning the library raises, the require_named degrade,
         # is about the key corpus, so it names the key file.
         for warning in caught:
-            print(f"warning: {config.key_path}: {warning.message}", file=sys.stderr)
+            print(f"warning: {args.key_path}: {warning.message}", file=sys.stderr)
         try:
             print(output)
             sys.stdout.flush()
@@ -235,8 +205,7 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    return run(config_from_args(parser.parse_args(argv)))
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

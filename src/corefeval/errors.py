@@ -38,10 +38,6 @@ class DocMismatch(CorefEvalError):
         self.doc_id = doc_id
 
 
-class MissingMetric(CorefEvalError):
-    """An operation needs a metric that was not computed."""
-
-
 class EmptySeries(CorefEvalError):
     """A fit was requested on an empty rank-size series."""
 

@@ -37,14 +37,12 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import MissingMetric
 from .model import (
     Frozen,
     Partition,
     ScoreTriple,
     ZERO_TRIPLE,
     check_same_doc,
-    mentions_of,
     project,
 )
 
@@ -403,35 +401,21 @@ def metric_counts(
     return _COUNTERS[MetricId(metric)](overlap(key, response))
 
 
-def muc_counts(key: Partition, response: Partition) -> PRCounts:
-    return metric_counts(MetricId.MUC, key, response)
-
-
 def muc(key: Partition, response: Partition) -> ScoreTriple:
     """Link-based score counting the minimum missing/extra links."""
-    return muc_counts(key, response).triple()
-
-
-def b3_counts(key: Partition, response: Partition) -> PRCounts:
-    return metric_counts(MetricId.B3, key, response)
+    return metric_counts(MetricId.MUC, key, response).triple()
 
 
 def b_cubed(key: Partition, response: Partition) -> ScoreTriple:
     """Per-mention overlap score; correctly isolated singletons score 1."""
-    return b3_counts(key, response).triple()
-
-
-def ceaf_counts(
-    key: Partition, response: Partition, variant: CeafVariant | str
-) -> PRCounts:
-    return _ceaf(overlap(key, response), CeafVariant(variant))
+    return metric_counts(MetricId.B3, key, response).triple()
 
 
 def ceaf(
     key: Partition, response: Partition, variant: CeafVariant | str
 ) -> ScoreTriple:
     """Entity-alignment score; ``variant`` selects phi3 (mention) or phi4 (entity)."""
-    return ceaf_counts(key, response, variant).triple()
+    return _ceaf(overlap(key, response), CeafVariant(variant)).triple()
 
 
 def blanc(key: Partition, response: Partition) -> ScoreTriple:
@@ -461,20 +445,6 @@ def table_counts(
 ) -> dict[MetricId, MetricCounts]:
     """The counts of ``metrics``, in the order given, from one table."""
     return {m: _COUNTERS[m](t) for m in metrics}
-
-
-def collect_counts(
-    key: Partition,
-    response: Partition,
-    metrics: Optional[Iterable[MetricId | str]] = None,
-) -> dict[MetricId, MetricCounts]:
-    return table_counts(overlap(key, response), normalize_metrics(metrics))
-
-
-def add_counts(
-    acc: dict[MetricId, MetricCounts], new: Mapping[MetricId, MetricCounts]
-) -> dict[MetricId, MetricCounts]:
-    return {m: acc.get(m, zero_counts(m)) + c for m, c in new.items()}
 
 
 TALLY_KEYS = (
@@ -525,20 +495,10 @@ def _conll_avg(scores: Mapping[MetricId, ScoreTriple]) -> Optional[float]:
     return sum(scores[m].f1 for m in CONLL_METRICS) / len(CONLL_METRICS)
 
 
-def conll_average(report: MetricReport) -> float:
-    """Mean F1 of muc, b3, and ceaf_e; raises when any is absent."""
-    missing = [m.value for m in CONLL_METRICS if m not in report.scores]
-    if missing:
-        raise MissingMetric(f"conll average needs {', '.join(missing)}")
-    avg = _conll_avg(report.scores)
-    assert avg is not None
-    return avg
-
-
 def remove_spurious(response: Partition, key: Partition) -> Partition:
     """Delete response mentions absent from the key; drop emptied chains."""
     check_same_doc(key, response)
-    return project(response, mentions_of(key))
+    return project(response, key.mention_set)
 
 
 class PathologyReport(NamedTuple):

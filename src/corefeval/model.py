@@ -301,7 +301,8 @@ class Partition(Frozen):
             "named": frozenset(built.named) if built.named else _NO_NAMES,
             "surfaces": built.surfaces or _NO_SURFACES,
         }
-        vars(self).update(fields)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.chain_ids)
@@ -320,21 +321,6 @@ class Partition(Frozen):
     @cached_property
     def chain_by_mention(self) -> dict[Mention, Chain]:
         return {m: c for c in self.chains for m in c.mentions}
-
-    @cached_property
-    def singleton_mentions(self) -> frozenset[Mention]:
-        """Mentions that form size-1 chains."""
-        return frozenset(c.mentions[0] for c in self.chains if c.is_singleton)
-
-
-def mentions_of(partition: Partition) -> frozenset[Mention]:
-    """All mentions of a partition; cardinality equals the sum of chain sizes."""
-    return partition.mention_set
-
-
-def chain_of(partition: Partition, mention: Mention) -> Optional[Chain]:
-    """The unique chain containing ``mention`` by span identity, or None."""
-    return partition.chain_by_mention.get(mention)
 
 
 def project(p: Partition, keep: Iterable[Mention]) -> Partition:

@@ -51,11 +51,6 @@ def _triple_cells(triple: ScoreTriple) -> tuple[str, str, str]:
     return (_fmt(triple.recall), _fmt(triple.precision), _fmt(triple.f1))
 
 
-def csv_triple(triple: ScoreTriple) -> str:
-    """One CSV data row: recall,precision,f1 at 4 decimals."""
-    return ",".join(_triple_cells(triple))
-
-
 def _table(rows: list[tuple[str, ...]], align_left: int = 1) -> list[str]:
     """Align columns; the first ``align_left`` columns are left-justified."""
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
@@ -292,16 +287,8 @@ def _render_stats(report: StatsReport, fmt: OutputFormat) -> str:
     return "\n".join(_table(rows))
 
 
-def _render_triple(triple: ScoreTriple, fmt: OutputFormat) -> str:
-    if fmt is OutputFormat.JSON:
-        return _json(_triple_json(triple))
-    if fmt is OutputFormat.CSV:
-        return csv_triple(triple)
-    return "\n".join(_table([SCORE_HEADER[1:], _triple_cells(triple)], align_left=0))
-
-
 def emit_report(
-    report: MetricReport | StratifiedReport | PathologyReport | StatsReport | ScoreTriple,
+    report: MetricReport | StratifiedReport | PathologyReport | StatsReport,
     fmt: OutputFormat | str,
 ) -> str:
     """Serialize any report deterministically in the requested format."""
@@ -314,6 +301,4 @@ def emit_report(
         return _render_pathology(report, fmt)
     if isinstance(report, StatsReport):
         return _render_stats(report, fmt)
-    if isinstance(report, ScoreTriple):
-        return _render_triple(report, fmt)
     raise TypeError(f"cannot render {type(report).__name__}")

@@ -66,11 +66,6 @@ def compute_stats(docs: Iterable[tuple[Document, Partition]]) -> CorpusStats:
     )
 
 
-def rank_size_series(stats: CorpusStats) -> list[tuple[int, int]]:
-    """Chains by descending size with ranks from 1; ties broken by ids."""
-    return list(stats.rank_size)
-
-
 class ZipfFit(NamedTuple):
     """OLS fit of log(size) against log(rank).
 

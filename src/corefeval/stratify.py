@@ -20,9 +20,9 @@ from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ModelError
-from .metrics import MetricReport, Overlap, PRCounts, overlap
+from .metrics import MetricReport, Overlap, PRCounts
 from .model import Chain, Partition, ScoreTriple, check_same_doc, checked_tuple
-from .model import mentions_of, project
+from .model import project
 
 
 class Stratum(str, Enum):
@@ -54,10 +54,6 @@ def _stratum(size: int, named: bool, config: StratumConfig) -> Stratum:
     return Stratum.SECONDARY
 
 
-def classify_chain(chain: Chain, config: StratumConfig) -> Stratum:
-    return _stratum(len(chain), any(m.is_named for m in chain.mentions), config)
-
-
 def chain_strata(key: Partition, config: StratumConfig) -> list[Stratum]:
     """The stratum of every key chain, in canonical chain (table row) order."""
     named = key.named
@@ -86,15 +82,6 @@ def table_singleton_detection(t: Overlap) -> PRCounts:
     return PRCounts(found, t.key_sizes.count(1), found, t.response_sizes.count(1))
 
 
-def singleton_detection_counts(key: Partition, response: Partition) -> PRCounts:
-    """A singleton is detected only when its span is a singleton on both sides."""
-    return table_singleton_detection(overlap(key, response))
-
-
-def singleton_detection(key: Partition, response: Partition) -> ScoreTriple:
-    return singleton_detection_counts(key, response).triple()
-
-
 def table_leakage(t: Overlap, strata: Sequence[Stratum]) -> int:
     """Response columns with cells in rows of two or more strata.
 
@@ -106,11 +93,6 @@ def table_leakage(t: Overlap, strata: Sequence[Stratum]) -> int:
         for j in row:
             seen[j].add(stratum)
     return sum(len(labels) >= 2 for labels in seen)
-
-
-def leakage_count(key: Partition, response: Partition, config: StratumConfig) -> int:
-    """Response chains whose key mentions span at least two strata."""
-    return table_leakage(overlap(key, response), chain_strata(key, config))
 
 
 class StratifiedReport(NamedTuple):
@@ -139,7 +121,7 @@ def stratum_pairs(
         if not chains:
             continue
         key_slice = Partition(key.doc_id, chains, key.role)
-        resp_slice = project(response, mentions_of(key_slice))
+        resp_slice = project(response, key_slice.mention_set)
         out[stratum] = (key_slice, resp_slice)
     return out
 

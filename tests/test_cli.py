@@ -493,6 +493,41 @@ def test_no_command_builds_a_mention(fixtures_dir, monkeypatch, capsys, pair, co
     assert built == []
 
 
+SCORING_DEFAULTS = [
+    "--output",
+    "table",
+    "--averaging",
+    "micro",
+    "--metrics",
+    "muc,b3,ceaf_m,ceaf_e,blanc,lea",
+]
+SPELLED_DEFAULTS = {
+    "score": SCORING_DEFAULTS,
+    "stratify": [*SCORING_DEFAULTS, "--long-threshold", "10", "--require-named"],
+    "pathology": SCORING_DEFAULTS,
+    "stats": ["--output", "table"],
+}
+
+
+@pytest.mark.parametrize("pair", sorted(INPUT_PAIRS))
+@pytest.mark.parametrize("command", sorted(SPELLED_DEFAULTS))
+def test_omitted_flags_act_as_their_spelled_out_defaults(
+    fixtures_dir, capsys, pair, command
+):
+    """The argument parser holds the only copy of each default: a run
+    without optional flags prints what a run naming every default prints."""
+    key, response = (str(fixtures_dir / name) for name in INPUT_PAIRS[pair])
+    args = [command, "--key", key]
+    if command != "stats":
+        args += ["--response", response]
+    runs = []
+    for extra in ([], SPELLED_DEFAULTS[command]):
+        rc = main(args + extra)
+        runs.append((rc, *capsys.readouterr()))
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("output", ["json", "csv", "table"])
 @pytest.mark.parametrize(
     "command, extra",

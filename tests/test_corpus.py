@@ -23,7 +23,7 @@ from corefeval import (
     stratify_corpus,
 )
 from corefeval.jsonl import parse_jsonl
-from corefeval.metrics import add_counts, collect_counts, zero_counts
+from corefeval.metrics import metric_counts, zero_counts
 
 DOC1_KEY = {"k1": frozenset({1, 2, 3}), "k2": frozenset({4, 5})}
 DOC1_RESP = {"r1": frozenset({1, 2}), "r2": frozenset({3, 4, 5})}
@@ -95,7 +95,8 @@ class TestScoreCorpus:
         report = score_corpus(pairs, averaging=Averaging.MICRO)
         expected = {m: zero_counts(m) for m in MetricId}
         for pair in pairs:
-            expected = add_counts(expected, collect_counts(pair.key, pair.response))
+            for m in MetricId:
+                expected[m] += metric_counts(m, pair.key, pair.response)
         for metric, counts in expected.items():
             assert report.scores[metric] == counts.triple()
 

@@ -18,10 +18,8 @@ from corefeval import (
     Role,
     ScoreTriple,
     StratumConfig,
-    chain_of,
     compute_stats,
     f1_of,
-    mentions_of,
     optimal_alignment,
     pathology,
     score_all,
@@ -29,7 +27,6 @@ from corefeval import (
     stratified_score,
     zipf_fit,
 )
-from corefeval.cli import RunConfig
 from corefeval.metrics import overlap
 from corefeval.model import ZERO_TRIPLE, check_same_doc
 
@@ -136,7 +133,7 @@ class TestPartition:
             [Chain("a", [mk(0), mk(1)]), Chain("b", [mk(5)])],
             Role.KEY,
         )
-        assert p.singleton_mentions == {mk(5)}
+        assert {c.mentions[0] for c in p.chains if c.is_singleton} == {mk(5)}
         assert len(p) == 2
 
 
@@ -145,32 +142,32 @@ class TestAccessors:
         p = Partition(
             "d", [Chain("a", [mk(0), mk(1)]), Chain("b", [mk(2)])], Role.KEY
         )
-        assert len(mentions_of(p)) == 3
+        assert len(p.mention_set) == 3
 
     def test_mentions_of_empty(self):
-        assert mentions_of(Partition("d", [], Role.KEY)) == frozenset()
+        assert Partition("d", [], Role.KEY).mention_set == frozenset()
 
     def test_mentions_of_single_chain(self):
         p = Partition("d", [Chain("a", [mk(i) for i in range(5)])], Role.KEY)
-        assert len(mentions_of(p)) == 5
+        assert len(p.mention_set) == 5
 
     def test_chain_of_present_and_absent(self):
         p = Partition(
             "d", [Chain("a", [mk(0), mk(1)]), Chain("b", [mk(2)])], Role.KEY
         )
-        assert chain_of(p, mk(1)).chain_id == "a"
-        assert chain_of(p, mk(2)).chain_id == "b"
-        assert chain_of(p, mk(9)) is None
+        assert p.chain_by_mention.get(mk(1)).chain_id == "a"
+        assert p.chain_by_mention.get(mk(2)).chain_id == "b"
+        assert p.chain_by_mention.get(mk(9)) is None
 
     def test_chain_of_ignores_metadata(self):
         p = Partition("d", [Chain("a", [mk(0, is_named=True)])], Role.KEY)
-        assert chain_of(p, mk(0)).chain_id == "a"
+        assert p.chain_by_mention.get(mk(0)).chain_id == "a"
 
     @given(helpers.label_partitions())
     def test_every_mention_maps_to_its_chain(self, chains):
         p = helpers.build_partition(chains, Role.KEY)
-        for m in mentions_of(p):
-            c = chain_of(p, m)
+        for m in p.mention_set:
+            c = p.chain_by_mention.get(m)
             assert c is not None
             assert m in c.mention_set
 
@@ -255,7 +252,6 @@ def _record_twins():
             "ZipfFit": zipf_fit([(1, 3), (2, 1)]),
             "StatsReport": stats_report([(doc, plain)]),
             "StratumConfig": StratumConfig(),
-            "RunConfig": RunConfig("stats", "key.jsonl"),
         }
 
     first, second = build(), build()

@@ -11,7 +11,6 @@ from corefeval import (
     EmptySeries,
     ModelError,
     compute_stats,
-    rank_size_series,
     stats_report,
     zipf_fit,
 )
@@ -95,12 +94,12 @@ class TestComputeStats:
 class TestRankSize:
     def test_descending_with_ranks_from_one(self):
         stats = compute_stats(corpus({"d": [5, 3, 3, 1]}))
-        assert rank_size_series(stats) == [(1, 5), (2, 3), (3, 3), (4, 1)]
+        assert list(stats.rank_size) == [(1, 5), (2, 3), (3, 3), (4, 1)]
 
     def test_ties_break_by_document_then_chain_id(self):
         docs = corpus({"b": [2], "a": [2]})
         stats = compute_stats(docs)
-        assert rank_size_series(stats) == [(1, 2), (2, 2)]
+        assert list(stats.rank_size) == [(1, 2), (2, 2)]
 
     def test_sizes_sum_to_mentions(self):
         stats = compute_stats(corpus({"a": [4, 2, 1], "b": [3]}))

@@ -11,15 +11,12 @@ from corefeval import (
     Role,
     Stratum,
     StratumConfig,
-    classify_chain,
-    leakage_count,
-    mentions_of,
     project,
     score_all,
-    singleton_detection,
     stratified_score,
     stratify,
 )
+from corefeval.stratify import chain_strata
 
 
 def chain_of_size(n, named=False, start=0):
@@ -27,6 +24,10 @@ def chain_of_size(n, named=False, start=0):
     if named and mentions:
         mentions[0] = Mention("d", start, start, is_named=True)
     return Chain("c", mentions)
+
+
+def classify_chain(chain, config):
+    return chain_strata(Partition(chain.doc_id, [chain], Role.KEY), config)[0]
 
 
 class TestClassify:
@@ -97,7 +98,7 @@ class TestStratify:
         seen = [c for group in strata.values() for c in group]
         assert len(seen) == len(part.chains)
         assert set(seen) == set(part.chains)
-        assert sum(len(c) for c in seen) == len(mentions_of(part))
+        assert sum(len(c) for c in seen) == len(part.mention_set)
 
 
 class TestProject:
@@ -105,7 +106,7 @@ class TestProject:
         part = helpers.build_partition(
             {"a": frozenset({1, 2}), "b": frozenset({3})}, Role.RESPONSE
         )
-        keep = [m for m in mentions_of(part) if m.start != 2]
+        keep = [m for m in part.mention_set if m.start != 2]
         projected = project(part, keep)
         by_id = {c.chain_id: {m.start for m in c} for c in projected.chains}
         assert set(by_id) <= {"a", "b"}
@@ -113,7 +114,7 @@ class TestProject:
 
     def test_superset_keep_is_identity(self):
         part = helpers.build_partition({"a": frozenset({1, 2})}, Role.RESPONSE)
-        assert project(part, mentions_of(part)) == part
+        assert project(part, part.mention_set) == part
 
     def test_disjoint_keep_empties(self):
         part = helpers.build_partition({"a": frozenset({1, 2})}, Role.RESPONSE)
@@ -123,9 +124,9 @@ class TestProject:
     def test_projection_properties(self, instance):
         _, resp_labels = instance
         part = helpers.build_partition(resp_labels, Role.RESPONSE)
-        keep = frozenset(m for m in mentions_of(part) if m.start % 2 == 0)
+        keep = frozenset(m for m in part.mention_set if m.start % 2 == 0)
         projected = project(part, keep)
-        assert mentions_of(projected) == mentions_of(part) & keep
+        assert projected.mention_set == part.mention_set & keep
         assert {c.chain_id for c in projected.chains} <= {
             c.chain_id for c in part.chains
         }
@@ -138,7 +139,7 @@ class TestSingletonDetection:
             {"a": frozenset({1, 2}), "s1": frozenset({5}), "s2": frozenset({6})},
             {"x": frozenset({1, 2}), "s1": frozenset({5}), "y": frozenset({6, 7})},
         )
-        triple = singleton_detection(key, resp)
+        triple = stratified_score(key, resp).singleton_detection
         assert triple.recall == pytest.approx(0.5)
         assert triple.precision == 1.0
 
@@ -146,13 +147,13 @@ class TestSingletonDetection:
         key, resp = helpers.build_pair(
             {"a": frozenset({1, 2})}, {"x": frozenset({1, 2})}
         )
-        triple = singleton_detection(key, resp)
+        triple = stratified_score(key, resp).singleton_detection
         assert (triple.recall, triple.precision, triple.f1) == (0.0, 0.0, 0.0)
 
     def test_identity_detection(self):
         labels = {"a": frozenset({1, 2}), "s": frozenset({3})}
         key, resp = helpers.build_pair(labels, labels)
-        assert singleton_detection(key, resp).f1 == 1.0
+        assert stratified_score(key, resp).singleton_detection.f1 == 1.0
 
 
 class TestLeakage:
@@ -161,20 +162,20 @@ class TestLeakage:
         key_labels = {"a": frozenset(range(12)), "s": frozenset({50})}
         resp_labels = {"x": frozenset(range(12)) | {50}}
         key, resp = helpers.build_pair(key_labels, resp_labels, named=named)
-        assert leakage_count(key, resp, StratumConfig()) == 1
+        assert stratified_score(key, resp, StratumConfig()).leakage == 1
 
     def test_spurious_mentions_do_not_leak(self):
         key, resp = helpers.build_pair(
             {"a": frozenset({1, 2})}, {"x": frozenset({1, 2, 99})}
         )
-        assert leakage_count(key, resp, StratumConfig()) == 0
+        assert stratified_score(key, resp, StratumConfig()).leakage == 0
 
     def test_same_stratum_merge_does_not_leak(self):
         key, resp = helpers.build_pair(
             {"a": frozenset({1, 2}), "b": frozenset({3, 4})},
             {"x": frozenset({1, 2, 3, 4})},
         )
-        assert leakage_count(key, resp, StratumConfig()) == 0
+        assert stratified_score(key, resp, StratumConfig()).leakage == 0
 
 
 # A worked corpus slice: two major chains (12 and 10 mentions, each with
@@ -308,6 +309,6 @@ class TestStratifiedScore:
         nonsingleton = Partition(
             key.doc_id, [c for c in key.chains if not c.is_singleton], key.role
         )
-        expected = score_all(nonsingleton, project(resp, mentions_of(nonsingleton)))
+        expected = score_all(nonsingleton, project(resp, nonsingleton.mention_set))
         assert report.per_stratum[Stratum.MAJOR] == expected
         assert Stratum.SECONDARY not in report.per_stratum

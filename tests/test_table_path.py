@@ -4,7 +4,8 @@ Strata and the pathology "after" pass are row projections of one overlap
 table per document; ``stratum_pairs`` and ``remove_spurious`` build the
 same inputs as partitions.  Both must give equal counts, reports and
 diagnostics, compared with ``==``, for all six metrics under both
-averagings.
+averagings.  Strata, leakage, singleton detection and the spurious count
+are checked against ``reference.py``, which reads the partitions' spans.
 """
 
 import warnings
@@ -12,16 +13,13 @@ import warnings
 from hypothesis import given, strategies as st
 
 import helpers
+import reference
 from corefeval import (
     ALL_METRICS,
     Averaging,
     DocPair,
-    PRCounts,
     Stratum,
     StratumConfig,
-    classify_chain,
-    collect_counts,
-    mentions_of,
     partition_tallies,
     pathology_corpus,
     remove_spurious,
@@ -50,18 +48,8 @@ def corpora(draw):
     return pairs, config
 
 
-def leakage_reference(key, resp, config):
-    label = {m: classify_chain(c, config) for c in key.chains for m in c.mentions}
-    return sum(
-        len({label[m] for m in c.mentions if m in label}) >= 2 for c in resp.chains
-    )
-
-
-def detection_reference(key, resp):
-    found = len(key.singleton_mentions & resp.singleton_mentions)
-    return PRCounts(
-        found, len(key.singleton_mentions), found, len(resp.singleton_mentions)
-    )
+def partition_counts(key, resp):
+    return table_counts(overlap(key, resp), ALL_METRICS)
 
 
 @given(corpora())
@@ -70,22 +58,25 @@ def test_document_projections_match_rebuilt_partitions(corpus):
     for p in pairs:
         t = overlap(p.key, p.response)
         labels = chain_strata(p.key, config)
+        assert labels == reference.strata(p.key, config)
         tables = stratum_tables(t, labels)
         rebuilt = stratum_pairs(p.key, p.response, config)
         assert tables.keys() == rebuilt.keys()
         for stratum, (key, resp) in rebuilt.items():
-            assert table_counts(tables[stratum], ALL_METRICS) == collect_counts(
+            assert table_counts(tables[stratum], ALL_METRICS) == partition_counts(
                 key, resp
             )
             assert table_tallies(tables[stratum]) == partition_tallies(key, resp)
-        assert table_leakage(t, labels) == leakage_reference(
+        assert table_leakage(t, labels) == reference.leakage(
             p.key, p.response, config
         )
-        assert table_singleton_detection(t) == detection_reference(p.key, p.response)
-        assert t.spurious() == len(mentions_of(p.response) - mentions_of(p.key))
+        assert table_singleton_detection(t) == reference.singleton_detection(
+            p.key, p.response
+        )
+        assert t.spurious() == reference.spurious(p.key, p.response)
         cleaned = remove_spurious(p.response, p.key)
         after = t.project(range(len(t.rows)))
-        assert table_counts(after, ALL_METRICS) == collect_counts(p.key, cleaned)
+        assert table_counts(after, ALL_METRICS) == partition_counts(p.key, cleaned)
         assert table_tallies(after) == partition_tallies(p.key, cleaned)
 
 
@@ -107,10 +98,10 @@ def test_corpus_reports_match_rebuilt_partitions(corpus):
             else:
                 assert stratum not in report.per_stratum
         assert report.leakage == sum(
-            leakage_reference(p.key, p.response, applied) for p in pairs
+            reference.leakage(p.key, p.response, applied) for p in pairs
         )
         assert report.spurious_mentions == sum(
-            len(mentions_of(p.response) - mentions_of(p.key)) for p in pairs
+            reference.spurious(p.key, p.response) for p in pairs
         )
 
         path = pathology_corpus(pairs, averaging=averaging)

@@ -7,14 +7,14 @@ and columns in each partition's canonical chain order.  Every command
 derives from that one table: ``score`` reads the six metrics and the
 tallies off it, and the stratify strata and the pathology "after" pass
 are its row projections (``Overlap.project``), so no partition is rebuilt.
-MUC, B3 and LEA compute recall from the table's rows; precision is the
-same function applied to the transposed table (built once per table), so
-precision(key, response) equals recall(response, key) by construction.
-BLANC combines the cells with the row and column sums.  CEAF aligns
-chains with an in-package exact maximum-weight matching over the non-zero
-cells only (successive shortest augmenting paths with row and column
-potentials, see ``_align``); chains sharing no mention add nothing to an
-alignment, so no dense block is built.
+MUC, B3, LEA and BLANC read per-chain sums from one walk of the cells
+(``_walk``); one function gives MUC, B3 and LEA recall from the row sums
+and precision from the column sums, so precision(key, response) equals
+recall(response, key) by construction.  CEAF aligns chains with an
+in-package exact maximum-weight matching over the non-zero cells only
+(successive shortest augmenting paths with row and column potentials, see
+``_align``); chains sharing no mention add nothing to an alignment, so no
+dense block is built.
 
 Each metric is expressed as addable recall and precision counts
 (numerators and denominators) so multi-document corpora can be
@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import namedtuple
 from enum import Enum
-from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .model import (
@@ -130,8 +130,10 @@ class Overlap(Frozen):
 
     ``rows[i]`` maps response chain index j to |K_i ∩ R_j| and holds the
     non-zero cells only; chain indices follow each partition's canonical
-    order.  A mention on one side only appears in no cell, so a row sum
-    falls short of its chain size by the chain's unmatched mentions.
+    order.  A mention on one side only appears in no cell, so a row or
+    column sum falls short of its chain size by the chain's unmatched
+    mentions: a chain of size 1 has at most one cell.  Only rows are
+    stored; ``_walk`` sums the columns while it reads the rows.
     """
 
     key_sizes: tuple[int, ...]
@@ -142,22 +144,9 @@ class Overlap(Frozen):
     def __init__(self, key_sizes, response_sizes, rows):
         vars(self).update(key_sizes=key_sizes, response_sizes=response_sizes, rows=rows)
 
-    @cached_property
-    def transposed(self) -> "Overlap":
-        """The response × key table of the same document, built once."""
-        cols: tuple[dict[int, int], ...] = tuple({} for _ in self.response_sizes)
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                cols[j][i] = v
-        return Overlap(self.response_sizes, self.key_sizes, cols)
-
-    def row_sums(self) -> list[int]:
-        """|K_i ∩ response mentions| per key chain."""
-        return [sum(row.values()) for row in self.rows]
-
     def spurious(self) -> int:
         """Response mentions that are in no key chain."""
-        return sum(self.response_sizes) - sum(self.row_sums())
+        return sum(self.response_sizes) - sum(sum(row.values()) for row in self.rows)
 
     def project(self, rows: Sequence[int]) -> "Overlap":
         """Key chains ``rows`` against the response cut to their mentions.
@@ -198,84 +187,79 @@ def overlap(key: Partition, response: Partition) -> Overlap:
     )
 
 
-def _dual(half: Callable[[Overlap], tuple], table: Overlap) -> PRCounts:
-    """Recall counts from the table, precision counts from its transpose."""
-    r_num, r_den = half(table)
-    p_num, p_den = half(table.transposed)
-    return PRCounts(r_num, r_den, p_num, p_den)
+_Side = namedtuple("_Side", "sizes sums squares cells resolved")
 
 
-def _muc_half(t: Overlap) -> tuple[int, int]:
-    """MUC recall counts: each key chain is partitioned by the response.
-
-    A key chain of size n split into blocks (one per overlapping response
-    chain, one per mention no response chain covers) keeps n - blocks of
-    its n - 1 links; singletons contribute 0 to both counts.
-    """
-    num = den = 0
+def _walk(t: Overlap) -> tuple[_Side, _Side]:
+    """Per key chain (row) and response chain (column), in one cell walk:
+    its size, the sum of its cells, of their squares, their number, and
+    whether it is a singleton whose mention is a singleton opposite (one
+    cell in a size-1 row and a size-1 column, which marks both)."""
+    n_cols = len(t.response_sizes)
+    rows = _Side(t.key_sizes, [], [], list(map(len, t.rows)), [])
+    cols = _Side(t.response_sizes, *([0] * n_cols for _ in range(3)), [False] * n_cols)
     for n, row in zip(t.key_sizes, t.rows):
-        num += sum(row.values()) - len(row)
-        den += n - 1
-    return num, den
+        total = squares = 0
+        for j, v in row.items():
+            total += v
+            squares += v * v
+            cols.sums[j] += v
+            cols.squares[j] += v * v
+            cols.cells[j] += 1
+        resolved = False
+        if n == 1 and row:
+            (j,) = row
+            resolved = cols.resolved[j] = t.response_sizes[j] == 1
+        rows.sums.append(total)
+        rows.squares.append(squares)
+        rows.resolved.append(resolved)
+    return rows, cols
 
 
-def _b3_half(t: Overlap) -> tuple[float, int]:
-    """Sum over key mentions of |K(m) ∩ R(m)| / |K(m)|, and the mention count.
-
-    Grouped per chain: mentions of K falling in the same response chain
-    share the same term, so the per-chain sum is sum_j |K ∩ R_j|^2 / |K|.
-    """
-    num = 0.0
-    den = 0
-    for n, row in zip(t.key_sizes, t.rows):
+def _link_side(side: _Side) -> tuple[tuple[int, int], ...]:
+    """MUC, B3 and LEA (numerator, denominator): recall on the key side,
+    precision on the response side.  A chain of size n with cells v keeps
+    sum(v) - cells of its n - 1 MUC links (one block per cell, one per
+    unmatched mention), adds sum(v^2) / n to B3, and resolves sum(C(v, 2))
+    = sum(v^2 - v) / 2 of its C(n, 2) LEA links, weighted by n; a singleton
+    is resolved only when ``side.resolved``."""
+    muc_num = muc_den = den = 0
+    b3_num = lea_num = 0.0
+    for n, total, squares, cells, resolved in zip(*side):
+        muc_num += total - cells
+        muc_den += n - 1
+        b3_num += squares / n
         den += n
-        num += sum(v * v for v in row.values()) / n
-    return num, den
+        if n != 1:
+            lea_num += n * ((squares - total) // 2 / _pairs(n))
+        elif resolved:
+            lea_num += 1.0
+    return (muc_num, muc_den), (b3_num, den), (lea_num, den)
 
 
-def _lea_half(t: Overlap) -> tuple[float, int]:
-    """Size-weighted resolution of key entities, and the total weight.
-
-    link(e) = C(|e|, 2) for |e| >= 2; a singleton is resolved (self-link)
-    only if its mention forms a singleton chain in the response.
-    """
-    num = 0.0
-    den = 0
-    for n, row in zip(t.key_sizes, t.rows):
-        den += n
-        if n == 1:
-            if any(t.response_sizes[j] == 1 for j in row):
-                num += 1.0
-            continue
-        hits = sum(_pairs(v) for v in row.values())
-        num += n * (hits / _pairs(n))
-    return num, den
+# MUC, B3 and LEA in the order _link_side returns them, then BLANC.
+_LINK_METRICS = (MetricId.MUC, MetricId.B3, MetricId.LEA, MetricId.BLANC)
 
 
-def _blanc(t: Overlap) -> BlancCounts:
-    """Coref and non-coref link counts over each side's own mentions.
-
-    The non-coref intersection is counted by inclusion-exclusion over the
-    shared mentions: pairs neither side links = all shared pairs minus
-    pairs linked in key minus pairs linked in response plus pairs linked
-    in both.
-    """
-    coref_both = sum(_pairs(v) for row in t.rows for v in row.values())
-    row_sums = t.row_sums()
-    noncoref_both = (
-        _pairs(sum(row_sums))
-        - sum(map(_pairs, row_sums))
-        - sum(map(_pairs, t.transposed.row_sums()))
-        + coref_both
+def _link_counts(t: Overlap) -> dict[MetricId, MetricCounts]:
+    """MUC, B3, LEA and BLANC counts from one walk of the table.  BLANC's
+    shared pairs neither side links are, by inclusion-exclusion, all shared
+    pairs minus those either side links plus those both link."""
+    rows, cols = _walk(t)
+    counts: dict[MetricId, MetricCounts] = {
+        m: PRCounts(*r, *p)
+        for m, r, p in zip(_LINK_METRICS[:3], _link_side(rows), _link_side(cols))
+    }
+    shared = sum(rows.sums)
+    both = (sum(rows.squares) - shared) // 2
+    neither = _pairs(shared) - sum(map(_pairs, rows.sums + cols.sums)) + both
+    coref = [sum(map(_pairs, s.sizes)) for s in (rows, cols)]
+    noncoref = [_pairs(sum(s.sizes)) - c for s, c in zip((rows, cols), coref)]
+    counts[MetricId.BLANC] = BlancCounts(
+        PRCounts(both, coref[0], both, coref[1]),
+        PRCounts(neither, noncoref[0], neither, noncoref[1]),
     )
-    coref_key = sum(map(_pairs, t.key_sizes))
-    coref_resp = sum(map(_pairs, t.response_sizes))
-    noncoref_key = _pairs(sum(t.key_sizes)) - coref_key
-    noncoref_resp = _pairs(sum(t.response_sizes)) - coref_resp
-    return BlancCounts(
-        coref=PRCounts(coref_both, coref_key, coref_both, coref_resp),
-        noncoref=PRCounts(noncoref_both, noncoref_key, noncoref_both, noncoref_resp),
-    )
+    return counts
 
 
 def _align(t: Overlap, variant: CeafVariant) -> tuple[list[tuple[int, int]], float]:
@@ -297,22 +281,35 @@ def _align(t: Overlap, variant: CeafVariant) -> tuple[list[tuple[int, int]], flo
     its connected component: chains sharing no mention add nothing to an
     alignment.  Returns the matched (key, response) index pairs, all of
     positive similarity, and the fsum of their similarities.
+
+    Most searches end at their first pop, which needs no heap: it is the
+    least (slack, column) over the row's cells and its dummy, with the
+    heap's floats and tie-break.  If that column is free (a dummy, or no
+    row owns it) the search would stop there, match it, lower u[s] by the
+    slack and move no v (d - d = 0), so the shortcut does just that and
+    changes no matching, potential or total.  Other rows run the search.
     """
-    sizes_k, sizes_r = t.key_sizes, t.response_sizes
-    rows = [
-        {
-            j: float(v) if variant is CeafVariant.MENTION
-            else 2.0 * v / (sizes_k[i] + sizes_r[j])
-            for j, v in row.items()
-        }
-        for i, row in enumerate(t.rows)
-    ]
+    sizes_r = t.response_sizes
+    if variant is CeafVariant.MENTION:
+        rows = [{j: float(v) for j, v in row.items()} for row in t.rows]
+    else:
+        rows = [
+            {j: 2.0 * v / (n + sizes_r[j]) for j, v in row.items()}
+            for n, row in zip(t.key_sizes, t.rows)
+        ]
     dummy = len(sizes_r)  # column dummy + i is key chain i's dummy
     u = [max(row.values(), default=0.0) for row in rows]
     v = [0.0] * dummy
     owner: dict[int, int] = {}  # response column -> key row
     mate: dict[int, int] = {}  # key row -> column, possibly its dummy
-    for s in range(len(rows)):
+    for s, row in enumerate(rows):
+        us = u[s]
+        d, j = min([(us, dummy + s)] + [(us + v[c] - w, c) for c, w in row.items()])
+        if j >= dummy or j not in owner:
+            u[s], mate[s] = us - d, j
+            if j < dummy:
+                owner[j] = s
+            continue
         reached, settled, best, via, heap = {s: 0.0}, {}, {}, {}, []
         i, d = s, 0.0
         while True:
@@ -385,12 +382,12 @@ def _ceaf(t: Overlap, variant: CeafVariant) -> PRCounts:
 
 
 _COUNTERS: dict[MetricId, Callable[[Overlap], MetricCounts]] = {
-    MetricId.MUC: lambda t: _dual(_muc_half, t),
-    MetricId.B3: lambda t: _dual(_b3_half, t),
+    MetricId.MUC: lambda t: _link_counts(t)[MetricId.MUC],
+    MetricId.B3: lambda t: _link_counts(t)[MetricId.B3],
     MetricId.CEAF_M: lambda t: _ceaf(t, CeafVariant.MENTION),
     MetricId.CEAF_E: lambda t: _ceaf(t, CeafVariant.ENTITY),
-    MetricId.BLANC: _blanc,
-    MetricId.LEA: lambda t: _dual(_lea_half, t),
+    MetricId.BLANC: lambda t: _link_counts(t)[MetricId.BLANC],
+    MetricId.LEA: lambda t: _link_counts(t)[MetricId.LEA],
 }
 
 
@@ -440,11 +437,13 @@ def normalize_metrics(metrics: Optional[Iterable[MetricId | str]]) -> tuple[Metr
     return tuple(m for m in ALL_METRICS if m in wanted)
 
 
-def table_counts(
-    t: Overlap, metrics: Iterable[MetricId]
-) -> dict[MetricId, MetricCounts]:
-    """The counts of ``metrics``, in the order given, from one table."""
-    return {m: _COUNTERS[m](t) for m in metrics}
+def table_counts(t: Overlap, metrics: Sequence[MetricId]) -> dict[MetricId, MetricCounts]:
+    """The counts of ``metrics``, in the order given, from one table.
+
+    MUC, B3, LEA and BLANC share one walk, made if any of them is asked for.
+    """
+    links = _link_counts(t) if any(m in _LINK_METRICS for m in metrics) else {}
+    return {m: links[m] if m in links else _COUNTERS[m](t) for m in metrics}
 
 
 TALLY_KEYS = (

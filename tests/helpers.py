@@ -14,6 +14,7 @@ from typing import Iterable, Mapping, Optional
 from hypothesis import strategies as st
 
 from corefeval import Chain, Document, Mention, Partition, Role
+from corefeval.metrics import Overlap
 
 
 def label_mapping(*chain_dicts: Mapping[str, frozenset]) -> dict:
@@ -223,3 +224,47 @@ def span_documents(draw, num_tokens: int = 10, max_chains: int = 4):
         doc_id, [Chain(cid, ms) for cid, ms in chains.items()], Role.KEY
     )
     return Document(doc_id, num_tokens), part
+
+
+@st.composite
+def overlap_tables(draw, max_chains=25, max_value=3, max_cells=150):
+    """Hypothesis strategy for an ``Overlap`` table drawn cell by cell.
+
+    Rectangular, up to ``max_chains`` rows and columns, cells 1..``max_value``
+    (so weights tie often), and some rows and columns left empty.  Each
+    chain's size is its cells' sum plus 0-2 mentions the other side lacks,
+    and at least 1, as in a table built from two partitions.
+    """
+    n_rows = draw(st.integers(0, max_chains))
+    n_cols = draw(st.integers(0, max_chains))
+    rows: list[dict[int, int]] = [{} for _ in range(n_rows)]
+    if n_rows and n_cols:
+        cells = st.tuples(
+            st.integers(0, n_rows - 1),
+            st.integers(0, n_cols - 1),
+            st.integers(1, max_value),
+        )
+        for i, j, v in draw(st.lists(cells, max_size=min(n_rows * n_cols, max_cells))):
+            rows[i][j] = v
+    col_sums = [0] * n_cols
+    for row in rows:
+        for j, v in row.items():
+            col_sums[j] += v
+
+    def sizes(sums):
+        return tuple(s + draw(st.integers(0 if s else 1, 2)) for s in sums)
+
+    return Overlap(
+        sizes([sum(row.values()) for row in rows]), sizes(col_sums), tuple(rows)
+    )
+
+
+@st.composite
+def row_projections(draw, tables=overlap_tables()):
+    """A table or, half the time, its projection on a sorted row subset, as
+    the stratify and pathology paths build them."""
+    t = draw(tables)
+    if t.rows and draw(st.booleans()):
+        kept = draw(st.sets(st.integers(0, len(t.rows) - 1)))
+        t = t.project(sorted(kept))
+    return t

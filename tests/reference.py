@@ -1,13 +1,20 @@
-"""Partition-level references for the diagnostics the table path computes.
+"""References for the diagnostics and metric counts the table path computes.
 
-Each function follows its definition directly over what a partition
-stores: ``chain_ids``, ``spans`` (per-chain sorted span tuples) and
-``named`` (the spans flagged is_named).  Strata are returned as their
-plain names.  Like ``oracles.py``, this module imports no scoring code
-from the package, so the checks against it are not self-comparisons.
+Each partition-level function follows its definition directly over what
+a partition stores: ``chain_ids``, ``spans`` (per-chain sorted span tuples)
+and ``named`` (the spans flagged is_named).  Strata are returned as their
+plain names.  The table-level functions at the end compute MUC, B3, LEA
+and BLANC counts one metric at a time, with a transposed copy of the
+table, and the CEAF matching with a full heap search for every key chain.
+Like ``oracles.py``, this module imports no scoring code from the
+package, so the checks against it are not self-comparisons.
 """
 
 from __future__ import annotations
+
+import heapq
+import math
+from types import SimpleNamespace
 
 
 def mentions(partition) -> set:
@@ -61,3 +68,156 @@ def singleton_detection(key, response) -> tuple[int, int, int, int]:
 def spurious(key, response) -> int:
     """Response mentions that are no key mention."""
     return len(mentions(response) - mentions(key))
+
+
+# Overlap-table references.  These read only a table's ``key_sizes``,
+# ``response_sizes`` and ``rows`` (rows[i] maps a response chain index to
+# the number of mentions key chain i shares with it), as the metric code
+# did before it derived MUC, B3, LEA and BLANC from one walk of the cells
+# and before ``_align`` matched a row at its first pop without a heap.
+
+
+def pairs(n: int) -> int:
+    return n * (n - 1) // 2
+
+
+def transposed(t) -> SimpleNamespace:
+    """The response × key table of the same document."""
+    cols = [{} for _ in t.response_sizes]
+    for i, row in enumerate(t.rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    return SimpleNamespace(
+        key_sizes=t.response_sizes, response_sizes=t.key_sizes, rows=cols
+    )
+
+
+def muc_half(t) -> tuple[int, int]:
+    """MUC recall counts: a key chain of size n split into blocks (one per
+    overlapping response chain, one per uncovered mention) keeps n - blocks
+    of its n - 1 links."""
+    num = den = 0
+    for n, row in zip(t.key_sizes, t.rows):
+        num += sum(row.values()) - len(row)
+        den += n - 1
+    return num, den
+
+
+def b3_half(t) -> tuple[float, int]:
+    """Sum over key mentions of |K(m) ∩ R(m)| / |K(m)|, and the mention count."""
+    num = 0.0
+    den = 0
+    for n, row in zip(t.key_sizes, t.rows):
+        den += n
+        num += sum(v * v for v in row.values()) / n
+    return num, den
+
+
+def lea_half(t) -> tuple[float, int]:
+    """Size-weighted resolution of key entities, and the total weight; a
+    singleton is resolved only if its mention is a response singleton."""
+    num = 0.0
+    den = 0
+    for n, row in zip(t.key_sizes, t.rows):
+        den += n
+        if n == 1:
+            if any(t.response_sizes[j] == 1 for j in row):
+                num += 1.0
+            continue
+        hits = sum(pairs(v) for v in row.values())
+        num += n * (hits / pairs(n))
+    return num, den
+
+
+def blanc(t) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int]]:
+    """Coref and non-coref (r_num, r_den, p_num, p_den); shared pairs neither
+    side links come by inclusion-exclusion from the row and column sums."""
+    coref_both = sum(pairs(v) for row in t.rows for v in row.values())
+    row_sums = [sum(row.values()) for row in t.rows]
+    col_sums = [sum(col.values()) for col in transposed(t).rows]
+    noncoref_both = (
+        pairs(sum(row_sums))
+        - sum(map(pairs, row_sums))
+        - sum(map(pairs, col_sums))
+        + coref_both
+    )
+    coref_key = sum(map(pairs, t.key_sizes))
+    coref_resp = sum(map(pairs, t.response_sizes))
+    return (
+        (coref_both, coref_key, coref_both, coref_resp),
+        (
+            noncoref_both,
+            pairs(sum(t.key_sizes)) - coref_key,
+            noncoref_both,
+            pairs(sum(t.response_sizes)) - coref_resp,
+        ),
+    )
+
+
+def link_counts(t) -> dict:
+    """MUC, B3 and LEA as (r_num, r_den, p_num, p_den), recall from the
+    table and precision from its transpose, and BLANC, by metric name."""
+    counts = {
+        name: (*half(t), *half(transposed(t)))
+        for name, half in (("muc", muc_half), ("b3", b3_half), ("lea", lea_half))
+    }
+    counts["blanc"] = blanc(t)
+    return counts
+
+
+def align(t, variant: str) -> tuple[list[tuple[int, int]], float]:
+    """Maximum-weight matching by one heap Dijkstra per key chain.
+
+    Successive shortest augmenting paths over the non-zero cells with row
+    and column potentials; each key chain may instead take its private
+    dummy column at similarity 0.  ``variant`` "mention" weighs a cell v by
+    v, "entity" by 2v / (|K| + |R|).  Returns the matched (key, response)
+    pairs and the fsum of their weights.
+    """
+    sizes_k, sizes_r = t.key_sizes, t.response_sizes
+    rows = [
+        {
+            j: float(v) if variant == "mention"
+            else 2.0 * v / (sizes_k[i] + sizes_r[j])
+            for j, v in row.items()
+        }
+        for i, row in enumerate(t.rows)
+    ]
+    dummy = len(sizes_r)
+    u = [max(row.values(), default=0.0) for row in rows]
+    v = [0.0] * dummy
+    owner: dict[int, int] = {}
+    mate: dict[int, int] = {}
+    for s in range(len(rows)):
+        reached, settled, best, via, heap = {s: 0.0}, {}, {}, {}, []
+        i, d = s, 0.0
+        while True:
+            via[dummy + i] = i
+            heapq.heappush(heap, (d + u[i], dummy + i))
+            for j, w in rows[i].items():
+                dj = d + u[i] + v[j] - w
+                if j not in settled and dj < best.get(j, math.inf):
+                    best[j], via[j] = dj, i
+                    heapq.heappush(heap, (dj, j))
+            d, j = heapq.heappop(heap)
+            while j in settled:
+                d, j = heapq.heappop(heap)
+            settled[j] = d
+            if j >= dummy or j not in owner:
+                break
+            i = owner[j]
+            reached[i] = d
+        for r, dr in reached.items():
+            u[r] -= d - dr
+        for c, dc in settled.items():
+            if c < dummy:
+                v[c] += d - dc
+        while True:
+            i = via[j]
+            if j < dummy:
+                owner[j] = i
+            mate[i], j = j, mate.get(i)
+            if i == s:
+                break
+    matched = [(i, j) for i, j in mate.items() if j < dummy]
+    return matched, math.fsum(rows[i][j] for i, j in matched)

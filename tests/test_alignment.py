@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import helpers
+import reference
 from corefeval import CeafVariant, optimal_alignment
+from corefeval.metrics import Overlap, _align
 
 
 def phi3(k, r) -> float:
@@ -189,3 +191,91 @@ def test_matches_scipy_on_uniformly_random_long_document():
             {c: frozenset(ms) for c, ms in resp.items()},
         )
     )
+
+
+@given(helpers.row_projections())
+def test_first_pop_shortcut_leaves_every_matching_unchanged(t):
+    """A row matched at its first pop without a heap gets the pairs and the
+    total the full search per row (``reference.align``) gives."""
+    for variant in CeafVariant:
+        pairs, total = _align(t, variant)
+        want_pairs, want_total = reference.align(t, variant)
+        assert set(pairs) == set(want_pairs)
+        assert total == want_total
+
+
+@st.composite
+def tie_tables(draw, max_chains: int = 6):
+    """Tables whose non-zero cells are all equal and whose key chains, and
+    response chains, all have one size, so many matchings tie."""
+    n_rows, n_cols = draw(st.integers(1, max_chains)), draw(st.integers(1, max_chains))
+    value = draw(st.integers(1, 3))
+    n_cells = n_rows * n_cols
+    grid = draw(st.lists(st.booleans(), min_size=n_cells, max_size=n_cells))
+    rows = tuple(
+        {j: value for j in range(n_cols) if grid[i * n_cols + j]} for i in range(n_rows)
+    )
+    cols = [sum(row.get(j, 0) for row in rows) for j in range(n_cols)]
+    key_size = max(max(sum(row.values()) for row in rows), 1) + draw(st.integers(0, 2))
+    resp_size = max(max(cols), 1) + draw(st.integers(0, 2))
+    return Overlap((key_size,) * n_rows, (resp_size,) * n_cols, rows)
+
+
+def brute_force_table_total(t, variant) -> float:
+    """Exhaustive maximum over all one-to-one matchings of the table's chains."""
+    def weight(i, j):
+        v = t.rows[i].get(j, 0)
+        if variant is CeafVariant.MENTION:
+            return float(v)
+        return 2.0 * v / (t.key_sizes[i] + t.response_sizes[j])
+
+    n_rows, n_cols = len(t.key_sizes), len(t.response_sizes)
+    if n_rows <= n_cols:
+        matchings = (list(enumerate(p)) for p in permutations(range(n_cols), n_rows))
+    else:
+        matchings = (
+            [(i, j) for j, i in enumerate(p)]
+            for p in permutations(range(n_rows), n_cols)
+        )
+    return max(math.fsum(weight(i, j) for i, j in m) for m in matchings)
+
+
+@given(tie_tables())
+def test_matches_brute_force_on_ties(t):
+    for variant in CeafVariant:
+        got = _align(t, variant)[1]
+        want = brute_force_table_total(t, variant)
+        if variant is CeafVariant.MENTION:
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-12
+
+
+def random_table(rng, max_chains: int = 8, max_value: int = 3):
+    """A dense random table with tie-heavy cells, sized like ``overlap_tables``."""
+    n_rows, n_cols = rng.randint(1, max_chains), rng.randint(1, max_chains)
+    rows = [{} for _ in range(n_rows)]
+    for _ in range(rng.randint(0, n_rows * n_cols)):
+        rows[rng.randrange(n_rows)][rng.randrange(n_cols)] = rng.randint(1, max_value)
+    col_sums = [0] * n_cols
+    for row in rows:
+        for j, v in row.items():
+            col_sums[j] += v
+    return Overlap(
+        tuple(sum(row.values()) + rng.randint(0 if row else 1, 2) for row in rows),
+        tuple(s + rng.randint(0 if s else 1, 2) for s in col_sums),
+        tuple(rows),
+    )
+
+
+def test_first_pop_shortcut_on_seeded_dense_tables():
+    """Many small dense tables.  A shortcut that matched a row but left its
+    potential too high would mislead a later search on six of these."""
+    rng = random.Random(9)
+    for _ in range(2000):
+        t = random_table(rng)
+        for variant in CeafVariant:
+            pairs, total = _align(t, variant)
+            want_pairs, want_total = reference.align(t, variant)
+            assert set(pairs) == set(want_pairs)
+            assert total == want_total

@@ -6,6 +6,8 @@ same inputs as partitions.  Both must give equal counts, reports and
 diagnostics, compared with ``==``, for all six metrics under both
 averagings.  Strata, leakage, singleton detection and the spurious count
 are checked against ``reference.py``, which reads the partitions' spans.
+The MUC, B3, LEA and BLANC counts of one cell walk must equal, with
+``==``, the per-metric walks over a transposed table in ``reference.py``.
 """
 
 import warnings
@@ -18,6 +20,7 @@ from corefeval import (
     ALL_METRICS,
     Averaging,
     DocPair,
+    MetricId,
     Stratum,
     StratumConfig,
     partition_tallies,
@@ -108,3 +111,30 @@ def test_corpus_reports_match_rebuilt_partitions(corpus):
         cleaned = [DocPair(p.key, remove_spurious(p.response, p.key)) for p in pairs]
         assert path.before == score_corpus(pairs, averaging=averaging)
         assert path.after == score_corpus(cleaned, averaging=averaging)
+
+
+LINK_METRICS = (MetricId.MUC, MetricId.B3, MetricId.LEA, MetricId.BLANC)
+
+
+def assert_one_walk_matches_per_metric_walks(t):
+    want = reference.link_counts(t)
+    together = table_counts(t, ALL_METRICS)
+    for m in LINK_METRICS:
+        assert together[m] == want[m]
+        assert table_counts(t, (m,))[m] == want[m]
+
+
+@given(helpers.row_projections(helpers.overlap_tables(max_chains=10)))
+def test_one_walk_matches_per_metric_walks_on_random_tables(t):
+    assert_one_walk_matches_per_metric_walks(t)
+
+
+@given(corpora())
+def test_one_walk_matches_per_metric_walks_on_document_projections(corpus):
+    pairs, config = corpus
+    for p in pairs:
+        t = overlap(p.key, p.response)
+        assert_one_walk_matches_per_metric_walks(t)
+        assert_one_walk_matches_per_metric_walks(t.project(range(len(t.rows))))
+        for projected in stratum_tables(t, chain_strata(p.key, config)).values():
+            assert_one_walk_matches_per_metric_walks(projected)

@@ -7,8 +7,8 @@ Usage:
   corefeval pathology --key KEY --response RESP [options]
 
 Common options:
-  --format {conll,jsonl}     input format; inferred from the file
-                             extension (.conll / .jsonl) when omitted
+  --format {conll,jsonl}     input format; when omitted, names ending in
+                             .jsonl or .jl are jsonl, those ending in conll CoNLL
   --output {table,json,csv}  report format (default: table)
   --metrics LIST             comma-separated subset of
                              muc,b3,ceaf_m,ceaf_e,blanc,lea (default: all)

@@ -22,6 +22,8 @@ it; no ``Mention`` is built.
 
 Parsing is streaming: ``iter_conll`` holds one document at a time, and
 only a line starting with ``#`` is tried as a ``#begin``/``#end`` line.
+Other ``#`` lines are comments, allowed only inside a document: outside
+one, any line but ``#begin document`` is an error naming its line.
 """
 
 from __future__ import annotations

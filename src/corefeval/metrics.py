@@ -35,10 +35,9 @@ import heapq
 import math
 from collections import namedtuple
 from enum import Enum
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .model import (
-    Frozen,
     Partition,
     ScoreTriple,
     ZERO_TRIPLE,
@@ -125,7 +124,7 @@ def _pairs(n: int) -> int:
     return n * (n - 1) // 2
 
 
-class Overlap(Frozen):
+class Overlap(NamedTuple):
     """Sparse key × response contingency table of one document.
 
     ``rows[i]`` maps response chain index j to |K_i ∩ R_j| and holds the
@@ -139,10 +138,6 @@ class Overlap(Frozen):
     key_sizes: tuple[int, ...]
     response_sizes: tuple[int, ...]
     rows: tuple[dict[int, int], ...]
-    _compared = ("key_sizes", "response_sizes", "rows")
-
-    def __init__(self, key_sizes, response_sizes, rows):
-        vars(self).update(key_sizes=key_sizes, response_sizes=response_sizes, rows=rows)
 
     def spurious(self) -> int:
         """Response mentions that are in no key chain."""
@@ -381,13 +376,9 @@ def _ceaf(t: Overlap, variant: CeafVariant) -> PRCounts:
     return PRCounts(total, len(t.key_sizes), total, len(t.response_sizes))
 
 
-_COUNTERS: dict[MetricId, Callable[[Overlap], MetricCounts]] = {
-    MetricId.MUC: lambda t: _link_counts(t)[MetricId.MUC],
-    MetricId.B3: lambda t: _link_counts(t)[MetricId.B3],
-    MetricId.CEAF_M: lambda t: _ceaf(t, CeafVariant.MENTION),
-    MetricId.CEAF_E: lambda t: _ceaf(t, CeafVariant.ENTITY),
-    MetricId.BLANC: lambda t: _link_counts(t)[MetricId.BLANC],
-    MetricId.LEA: lambda t: _link_counts(t)[MetricId.LEA],
+_CEAF_VARIANTS = {
+    MetricId.CEAF_M: CeafVariant.MENTION,
+    MetricId.CEAF_E: CeafVariant.ENTITY,
 }
 
 
@@ -395,7 +386,8 @@ def metric_counts(
     metric: MetricId | str, key: Partition, response: Partition
 ) -> MetricCounts:
     """One metric's addable counts, computed from the document's overlap table."""
-    return _COUNTERS[MetricId(metric)](overlap(key, response))
+    metric = MetricId(metric)
+    return table_counts(overlap(key, response), (metric,))[metric]
 
 
 def muc(key: Partition, response: Partition) -> ScoreTriple:
@@ -443,7 +435,9 @@ def table_counts(t: Overlap, metrics: Sequence[MetricId]) -> dict[MetricId, Metr
     MUC, B3, LEA and BLANC share one walk, made if any of them is asked for.
     """
     links = _link_counts(t) if any(m in _LINK_METRICS for m in metrics) else {}
-    return {m: links[m] if m in links else _COUNTERS[m](t) for m in metrics}
+    return {
+        m: links[m] if m in links else _ceaf(t, _CEAF_VARIANTS[m]) for m in metrics
+    }
 
 
 TALLY_KEYS = (

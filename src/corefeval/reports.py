@@ -10,18 +10,26 @@ Formatting contracts:
     exclusive one rounded to nearest) while JSON and CSV keep full
     precision.
   - All output is deterministic: identical reports render byte-identically.
+
+Every report goes through one of two writers.  JSON is ``_plain`` of the
+report: a record becomes an object of its fields and a mapping gets string
+keys (an enum's value, ``str`` of an int), so a report's JSON keys are its
+fields; only a stats report lifts its ``CorpusStats`` fields to the top.
+CSV and tables are ``_text`` of the report's layout, a list of
+``(header, rows, align_left)`` sections one blank line apart; a section
+without a header is a field/value list.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from enum import Enum
 from typing import Optional
 
 from .metrics import MetricReport, PathologyReport
-from .model import ScoreTriple
-from .stats import StatsReport, ZipfFit
+from .stats import StatsReport
 from .stratify import StratifiedReport
 
 
@@ -34,21 +42,32 @@ class OutputFormat(str, Enum):
 AVERAGE_LABEL = "conll_avg"
 SCORE_HEADER = ("metric", "recall", "precision", "f1")
 
+Section = tuple[Optional[tuple[str, ...]], list[tuple[str, ...]], int]
+
 
 def _fmt(value: float) -> str:
     return f"{value:.4f}"
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
+def _na(value: Optional[float], show) -> str:
+    return "n/a" if value is None else str(show(value))
+
+
+def _plain(value):
+    """JSON data of a report: records as objects of their fields, mapping
+    keys as strings; any other value as it is."""
+    if hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, Mapping):
+        return {
+            k.value if isinstance(k, Enum) else str(k): _plain(v)
+            for k, v in value.items()
+        }
+    return value
 
 
 def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)
-
-
-def _triple_cells(triple: ScoreTriple) -> tuple[str, str, str]:
-    return (_fmt(triple.recall), _fmt(triple.precision), _fmt(triple.f1))
 
 
 def _table(rows: list[tuple[str, ...]], align_left: int = 1) -> list[str]:
@@ -64,94 +83,55 @@ def _table(rows: list[tuple[str, ...]], align_left: int = 1) -> list[str]:
     return lines
 
 
-def _triple_json(triple: ScoreTriple) -> dict:
-    return {
-        "recall": triple.recall,
-        "precision": triple.precision,
-        "f1": triple.f1,
-    }
+def _text(sections: list[Section], fmt: OutputFormat) -> str:
+    """CSV or table blocks, one per section, separated by a blank line.  A
+    field/value section has no header: CSV heads it ``field,value`` and the
+    table prints no header line."""
+    blocks = []
+    for header, rows, align_left in sections:
+        if fmt is OutputFormat.CSV:
+            lines = [",".join(header or ("field", "value"))]
+            lines.extend(",".join(row) for row in rows)
+        else:
+            lines = _table(([header] if header else []) + rows, align_left)
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks)
 
 
-def _metric_rows(report: MetricReport) -> list[tuple[str, str, str, str]]:
+def _metric_rows(report: MetricReport) -> list[tuple[str, ...]]:
     rows = [
-        (metric.value, *_triple_cells(triple))
-        for metric, triple in report.scores.items()
+        (metric.value, _fmt(t.recall), _fmt(t.precision), _fmt(t.f1))
+        for metric, t in report.scores.items()
     ]
     if report.conll_average is not None:
         rows.append((AVERAGE_LABEL, "", "", _fmt(report.conll_average)))
     return rows
 
 
-def _metric_report_json(report: MetricReport) -> dict:
-    return {
-        "scores": {m.value: _triple_json(t) for m, t in report.scores.items()},
-        "conll_average": report.conll_average,
-        "counts": dict(report.counts),
-    }
+def _metric_layout(report: MetricReport, fmt: OutputFormat) -> list[Section]:
+    sections = [(SCORE_HEADER, _metric_rows(report), 1)]
+    if fmt is OutputFormat.TABLE:
+        sections.append((None, [(k, str(v)) for k, v in report.counts.items()], 1))
+    return sections
 
 
-def _render_metric_report(report: MetricReport, fmt: OutputFormat) -> str:
-    if fmt is OutputFormat.JSON:
-        return _json(_metric_report_json(report))
-    rows = _metric_rows(report)
-    if fmt is OutputFormat.CSV:
-        return "\n".join([",".join(SCORE_HEADER)] + [",".join(r) for r in rows])
-    lines = _table([SCORE_HEADER] + rows)
-    lines.append("")
-    lines.extend(_table([(k, str(v)) for k, v in report.counts.items()]))
-    return "\n".join(lines)
-
-
-def _config_rows(report: StratifiedReport) -> list[tuple[str, str]]:
+def _stratified_layout(report: StratifiedReport, fmt: OutputFormat) -> list[Section]:
+    rows = [
+        (stratum.value, *row)
+        for stratum, stratum_report in report.per_stratum.items()
+        for row in _metric_rows(stratum_report)
+    ]
     detection = report.singleton_detection
-    return [
+    summary = [
         ("singleton_detection_recall", _fmt(detection.recall)),
         ("singleton_detection_precision", _fmt(detection.precision)),
         ("singleton_detection_f1", _fmt(detection.f1)),
         ("leakage", str(report.leakage)),
         ("spurious_mentions", str(report.spurious_mentions)),
         ("long_threshold", str(report.config.long_threshold)),
-        ("require_named", _bool(report.config.require_named)),
+        ("require_named", "true" if report.config.require_named else "false"),
     ]
-
-
-def _render_stratified(report: StratifiedReport, fmt: OutputFormat) -> str:
-    if fmt is OutputFormat.JSON:
-        return _json(
-            {
-                "per_stratum": {
-                    s.value: _metric_report_json(r)
-                    for s, r in report.per_stratum.items()
-                },
-                "singleton_detection": _triple_json(report.singleton_detection),
-                "leakage": report.leakage,
-                "spurious_mentions": report.spurious_mentions,
-                "config": {
-                    "long_threshold": report.config.long_threshold,
-                    "require_named": report.config.require_named,
-                },
-            }
-        )
-    score_rows = [
-        (stratum.value, *row)
-        for stratum, stratum_report in report.per_stratum.items()
-        for row in _metric_rows(stratum_report)
-    ]
-    summary = _config_rows(report)
-    header = ("stratum", *SCORE_HEADER)
-    if fmt is OutputFormat.CSV:
-        lines = [",".join(header)]
-        lines.extend(",".join(row) for row in score_rows)
-        lines.append("")
-        lines.append("field,value")
-        lines.extend(f"{k},{v}" for k, v in summary)
-        return "\n".join(lines)
-    lines = _table([header] + score_rows, align_left=2) if score_rows else [
-        "  ".join(header)
-    ]
-    lines.append("")
-    lines.extend(_table(summary))
-    return "\n".join(lines)
+    return [(("stratum", *SCORE_HEADER), rows, 2), (None, summary, 1)]
 
 
 PATHOLOGY_HEADER = (
@@ -166,18 +146,7 @@ PATHOLOGY_HEADER = (
 )
 
 
-def _render_pathology(report: PathologyReport, fmt: OutputFormat) -> str:
-    if fmt is OutputFormat.JSON:
-        return _json(
-            {
-                "before": _metric_report_json(report.before),
-                "after": _metric_report_json(report.after),
-                "recall_deltas": {
-                    m.value: d for m, d in report.recall_deltas.items()
-                },
-                "removed_mentions": report.removed_mentions,
-            }
-        )
+def _pathology_layout(report: PathologyReport, fmt: OutputFormat) -> list[Section]:
     rows = []
     for metric, before in report.before.scores.items():
         after = report.after.scores[metric]
@@ -193,98 +162,39 @@ def _render_pathology(report: PathologyReport, fmt: OutputFormat) -> str:
                 _fmt(after.f1),
             )
         )
-    if fmt is OutputFormat.CSV:
-        lines = [",".join(PATHOLOGY_HEADER)]
-        lines.extend(",".join(row) for row in rows)
-        lines.append("")
-        lines.append("field,value")
-        lines.append(f"removed_mentions,{report.removed_mentions}")
-        return "\n".join(lines)
-    lines = _table([PATHOLOGY_HEADER] + rows)
-    lines.append("")
-    lines.extend(_table([("removed_mentions", str(report.removed_mentions))]))
-    return "\n".join(lines)
+    removed = [("removed_mentions", str(report.removed_mentions))]
+    return [(PATHOLOGY_HEADER, rows, 1), (None, removed, 1)]
 
 
-def _ratio_table_cell(value: Optional[float], truncate: bool) -> str:
-    # Table view shows whole numbers; see the module docstring for the rule.
-    if value is None:
-        return "n/a"
-    return str(math.trunc(value)) if truncate else str(round(value))
-
-
-def _fit_rows(fit: Optional[ZipfFit], precise: bool) -> list[tuple[str, str]]:
-    if fit is None:
-        return [("zipf_fit", "n/a")]
-    fmt = repr if precise else _fmt
-    r2 = "n/a" if fit.r_squared is None else fmt(fit.r_squared)
-    return [
-        ("zipf_slope", fmt(fit.slope)),
-        ("zipf_intercept", fmt(fit.intercept)),
-        ("zipf_r_squared", r2),
-        ("zipf_points", str(fit.n_points)),
-    ]
-
-
-def _render_stats(report: StatsReport, fmt: OutputFormat) -> str:
-    stats = report.stats
-    if fmt is OutputFormat.JSON:
-        fit = report.fit
-        return _json(
-            {
-                "num_mentions": stats.num_mentions,
-                "num_chains": stats.num_chains,
-                "num_singletons": stats.num_singletons,
-                "num_tokens": stats.num_tokens,
-                "mentions_per_chain_incl": stats.mentions_per_chain_incl,
-                "mentions_per_chain_excl": stats.mentions_per_chain_excl,
-                "length_histogram": {
-                    str(size): count
-                    for size, count in stats.length_histogram.items()
-                },
-                "rank_size": [list(p) for p in report.series],
-                "zipf_fit": None
-                if fit is None
-                else {
-                    "slope": fit.slope,
-                    "intercept": fit.intercept,
-                    "r_squared": fit.r_squared,
-                    "n_points": fit.n_points,
-                },
-                "exclude_singletons": report.exclude_singletons,
-            }
-        )
-    count_rows = [
+def _stats_layout(report: StatsReport, fmt: OutputFormat) -> list[Section]:
+    stats, fit = report.stats, report.fit
+    csv = fmt is OutputFormat.CSV
+    # CSV keeps full precision; the table shows the fit to 4 places and the
+    # ratios as whole numbers (see the module docstring for the rule).
+    number = repr if csv else _fmt
+    incl, excl = (repr, repr) if csv else (math.trunc, round)
+    rows = [
         ("num_tokens", str(stats.num_tokens)),
         ("num_mentions", str(stats.num_mentions)),
         ("num_chains", str(stats.num_chains)),
         ("num_singletons", str(stats.num_singletons)),
+        ("mentions_per_chain_incl", _na(stats.mentions_per_chain_incl, incl)),
+        ("mentions_per_chain_excl", _na(stats.mentions_per_chain_excl, excl)),
     ]
-    if fmt is OutputFormat.CSV:
-        def ratio(v):
-            return "n/a" if v is None else repr(v)
-
-        lines = ["field,value"]
-        lines.extend(f"{k},{v}" for k, v in count_rows)
-        lines.append(f"mentions_per_chain_incl,{ratio(stats.mentions_per_chain_incl)}")
-        lines.append(f"mentions_per_chain_excl,{ratio(stats.mentions_per_chain_excl)}")
-        lines.extend(f"{k},{v}" for k, v in _fit_rows(report.fit, precise=True))
-        lines.append("")
-        lines.append("rank,size")
-        lines.extend(f"{rank},{size}" for rank, size in report.series)
-        return "\n".join(lines)
-    rows = count_rows + [
-        (
-            "mentions_per_chain_incl",
-            _ratio_table_cell(stats.mentions_per_chain_incl, truncate=True),
-        ),
-        (
-            "mentions_per_chain_excl",
-            _ratio_table_cell(stats.mentions_per_chain_excl, truncate=False),
-        ),
-    ]
-    rows.extend(_fit_rows(report.fit, precise=False))
-    return "\n".join(_table(rows))
+    if fit is None:
+        rows.append(("zipf_fit", "n/a"))
+    else:
+        rows += [
+            ("zipf_slope", number(fit.slope)),
+            ("zipf_intercept", number(fit.intercept)),
+            ("zipf_r_squared", _na(fit.r_squared, number)),
+            ("zipf_points", str(fit.n_points)),
+        ]
+    sections = [(None, rows, 1)]
+    if csv:
+        series = [(str(rank), str(size)) for rank, size in report.series]
+        sections.append((("rank", "size"), series, 1))
+    return sections
 
 
 def emit_report(
@@ -293,12 +203,23 @@ def emit_report(
 ) -> str:
     """Serialize any report deterministically in the requested format."""
     fmt = OutputFormat(fmt)
+    data = report
     if isinstance(report, MetricReport):
-        return _render_metric_report(report, fmt)
-    if isinstance(report, StratifiedReport):
-        return _render_stratified(report, fmt)
-    if isinstance(report, PathologyReport):
-        return _render_pathology(report, fmt)
-    if isinstance(report, StatsReport):
-        return _render_stats(report, fmt)
-    raise TypeError(f"cannot render {type(report).__name__}")
+        layout = _metric_layout
+    elif isinstance(report, StratifiedReport):
+        layout = _stratified_layout
+    elif isinstance(report, PathologyReport):
+        layout = _pathology_layout
+    elif isinstance(report, StatsReport):
+        layout = _stats_layout
+        data = {
+            **report.stats._asdict(),
+            "rank_size": report.series,
+            "zipf_fit": report.fit,
+            "exclude_singletons": report.exclude_singletons,
+        }
+    else:
+        raise TypeError(f"cannot render {type(report).__name__}")
+    if fmt is OutputFormat.JSON:
+        return _json(_plain(data))
+    return _text(layout(report, fmt), fmt)

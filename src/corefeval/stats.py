@@ -38,22 +38,18 @@ class CorpusStats(NamedTuple):
 
 def compute_stats(docs: Iterable[tuple[Document, Partition]]) -> CorpusStats:
     """Aggregate counts over all documents; additive under concatenation."""
-    entries: list[tuple[int, str, str]] = []
     histogram: Counter = Counter()
     num_tokens = 0
-    for doc, part in sorted(docs, key=lambda pair: pair[0].doc_id):
+    for doc, part in docs:
         num_tokens += doc.num_tokens
-        for chain_id, spans in zip(part.chain_ids, part.spans):
-            histogram[len(spans)] += 1
-            entries.append((len(spans), doc.doc_id, chain_id))
+        histogram.update(map(len, part.spans))
     num_singletons = histogram.get(1, 0)
     total_chains = sum(histogram.values())
     num_nonsingleton = total_chains - num_singletons
     num_mentions = sum(size * count for size, count in histogram.items())
     incl = num_mentions / total_chains if total_chains else None
     excl = (num_mentions - num_singletons) / num_nonsingleton if num_nonsingleton else None
-    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-    rank_size = tuple((rank, size) for rank, (size, _, _) in enumerate(entries, 1))
+    rank_size = tuple(enumerate(sorted(histogram.elements(), reverse=True), 1))
     return CorpusStats(
         num_mentions=num_mentions,
         num_chains=num_nonsingleton,

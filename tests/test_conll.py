@@ -161,8 +161,13 @@ def test_bad_item_rejected():
 
 
 def test_token_line_outside_document_rejected():
-    with pytest.raises(ParseError):
-        parse_conll(["w\t-"])
+    # A comment line is allowed only inside a document.
+    between = ["#begin document a", "w\t-", "#end document", "", "# note",
+               "#begin document b", "#end document"]
+    for lines, line in ((["w\t-"], 1), (between, 5)):
+        with pytest.raises(ParseError) as exc:
+            parse_conll(lines)
+        assert exc.value.line == line
 
 
 def test_begin_inside_document_rejected():

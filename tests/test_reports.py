@@ -17,6 +17,7 @@ from corefeval import (
     stats_report,
     stratified_score,
 )
+from corefeval.cli import main
 
 KEY = {"k1": frozenset({1, 2, 3}), "k2": frozenset({4, 5})}
 RESP = {"r1": frozenset({1, 2}), "r2": frozenset({3, 4, 5})}
@@ -138,6 +139,34 @@ class TestStratifiedRendering:
         text = emit_report(report, OutputFormat.TABLE)
         assert "stratum" in text.splitlines()[0]
 
+    def test_empty_report_bytes(self):
+        key = Partition("d", [], Role.KEY)
+        resp = Partition("d", [], Role.RESPONSE)
+        report = stratified_score(key, resp, StratumConfig())
+        assert emit_report(report, OutputFormat.TABLE) == "\n".join([
+            "stratum  metric  recall  precision  f1",
+            "",
+            "singleton_detection_recall     0.0000",
+            "singleton_detection_precision  0.0000",
+            "singleton_detection_f1         0.0000",
+            "leakage                             0",
+            "spurious_mentions                   0",
+            "long_threshold                     10",
+            "require_named                    true",
+        ])
+        assert emit_report(report, OutputFormat.CSV) == "\n".join([
+            "stratum,metric,recall,precision,f1",
+            "",
+            "field,value",
+            "singleton_detection_recall,0.0000",
+            "singleton_detection_precision,0.0000",
+            "singleton_detection_f1,0.0000",
+            "leakage,0",
+            "spurious_mentions,0",
+            "long_threshold,10",
+            "require_named,true",
+        ])
+
     def test_json_structure(self):
         data = json.loads(emit_report(self.report(), OutputFormat.JSON))
         assert set(data) == {
@@ -230,6 +259,22 @@ class TestStatsRendering:
         assert data["zipf_fit"]["slope"] == report.fit.slope
         assert data["exclude_singletons"] is False
 
+    def test_json_bytes_sort_histogram_keys_as_strings(self):
+        report = stats_report(helpers.sized_corpus({"d": [12, 2, 1]}))
+        assert emit_report(report, OutputFormat.JSON) == (
+            '{\n  "exclude_singletons": false,\n  "length_histogram": {\n'
+            '    "1": 1,\n    "12": 1,\n    "2": 1\n  },\n'
+            '  "mentions_per_chain_excl": 7.0,\n  "mentions_per_chain_incl": 5.0,\n'
+            '  "num_chains": 2,\n  "num_mentions": 15,\n  "num_singletons": 1,\n'
+            '  "num_tokens": 15,\n  "rank_size": [\n'
+            '    [\n      1,\n      12\n    ],\n'
+            '    [\n      2,\n      2\n    ],\n'
+            '    [\n      3,\n      1\n    ]\n  ],\n'
+            '  "zipf_fit": {\n    "intercept": 2.431033870453004,\n'
+            '    "n_points": 3,\n    "r_squared": 0.9900591428258517,\n'
+            '    "slope": -2.2966518953484067\n  }\n}'
+        )
+
     def test_json_fit_is_nullable(self):
         data = json.loads(emit_report(stats_report([]), OutputFormat.JSON))
         assert data["zipf_fit"] is None
@@ -249,3 +294,15 @@ class TestTripleAndDispatch:
     def test_unknown_format_rejected(self, metric_report):
         with pytest.raises(ValueError):
             emit_report(metric_report, "yaml")
+
+
+@pytest.mark.parametrize("fmt", [f.value for f in OutputFormat])
+@pytest.mark.parametrize("command", ["score", "stratify", "pathology", "stats"])
+def test_cli_report_bytes_match_expected_files(fixtures_dir, capsys, command, fmt):
+    """The whole stdout of every report kind in every format, pinned."""
+    args = [command, "--key", str(fixtures_dir / "derived_key.jsonl"), "--output", fmt]
+    if command != "stats":
+        args += ["--response", str(fixtures_dir / "derived_response.jsonl")]
+    assert main(args) == 0
+    expected = fixtures_dir / "expected" / f"derived.{command}.{fmt}"
+    assert capsys.readouterr().out == expected.read_text(encoding="utf-8")

@@ -11,7 +11,6 @@ from .corpus import (
     Averaging,
     DocPair,
     corpus_stats_report,
-    effective_stratum_config,
     load_corpus,
     pair_corpora,
     pathology,
@@ -63,7 +62,7 @@ from .model import (
     Role,
     ScoreTriple,
     SourceFormat,
-    f1_of,
+    project,
 )
 from .reports import OutputFormat, emit_report
 from .stats import (
@@ -74,13 +73,7 @@ from .stats import (
     stats_report,
     zipf_fit,
 )
-from .stratify import (
-    StratifiedReport,
-    Stratum,
-    StratumConfig,
-    project,
-    stratify,
-)
+from .stratify import StratifiedReport, Stratum, StratumConfig
 
 __version__ = "0.1.0"
 
@@ -125,10 +118,8 @@ __all__ = [
     "ceaf",
     "corpus_stats_report",
     "compute_stats",
-    "effective_stratum_config",
     "emit_jsonl",
     "emit_report",
-    "f1_of",
     "iter_conll",
     "iter_jsonl",
     "lea",
@@ -148,7 +139,6 @@ __all__ = [
     "score_corpus",
     "stats_report",
     "stratified_score",
-    "stratify",
     "stratify_corpus",
     "zipf_fit",
 ]

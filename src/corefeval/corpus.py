@@ -2,14 +2,17 @@
 
 Key and response corpora are paired by doc_id; a document present on one
 side only, or with disagreeing token counts, raises DocMismatch rather
-than silently distorting scores.  Pairs are processed in sorted doc_id
-order, so float accumulation is reproducible run to run.
+than silently distorting scores, and so does a ``DocPair`` whose two
+sides name different documents, when ``metrics.overlap`` builds its table.
+Pairs are processed in sorted doc_id order, so float accumulation is
+reproducible run to run.
 
 Each document pair gets exactly one overlap table (``metrics.overlap``),
 built when the pair is reached and dropped once its counts are taken:
 ``score`` reads the metrics and tallies off it, ``stratify`` scores its
 per-stratum row projections and reads leakage, singleton detection and
-the spurious count off its cells, and ``pathology`` scores it before and
+the spurious count off its cells (``stratify_corpus`` first degrades
+require_named when no key mention in the corpus is named), and ``pathology`` scores it before and
 its projection onto every key row after spurious-mention removal.  No
 partition is rebuilt on any of these paths.
 
@@ -31,7 +34,7 @@ import operator
 import warnings
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .conll import parse_conll
 from .errors import DocMismatch, ParseError
@@ -59,8 +62,6 @@ from .model import (
     ScoreTriple,
     SourceFormat,
     ZERO_TRIPLE,
-    check_same_doc,
-    checked_tuple,
 )
 from .stats import StatsReport, stats_report
 from .stratify import (
@@ -84,14 +85,12 @@ class Averaging(str, Enum):
     MACRO = "macro"
 
 
-class DocPair(checked_tuple("DocPair", "key response")):
-    """The key and response partitions of one document."""
+class DocPair(NamedTuple):
+    """The key and response partitions of one document; ``metrics.overlap``,
+    which every scoring path builds, checks that their doc ids agree."""
 
-    __slots__ = ()
-
-    def __new__(cls, key: Partition, response: Partition):
-        check_same_doc(key, response)
-        return super().__new__(cls, key, response)
+    key: Partition
+    response: Partition
 
 
 def pair_corpora(
@@ -186,32 +185,24 @@ def score_all(
     return score_corpus([DocPair(key, response)], metrics)
 
 
-def effective_stratum_config(
-    pairs: Iterable[DocPair], config: StratumConfig
-) -> StratumConfig:
-    """Degrade require_named when no key mention in the corpus is named."""
-    if not config.require_named:
-        return config
-    if any(p.key.named for p in pairs):
-        return config
-    warnings.warn(
-        "no key mention carries is_named; require_named degraded to false "
-        "for this corpus",
-        UserWarning,
-        stacklevel=2,
-    )
-    return config._replace(require_named=False)
-
-
 def stratify_corpus(
     pairs: Iterable[DocPair],
     config: StratumConfig = StratumConfig(),
     metrics: Optional[Iterable[MetricId | str]] = None,
     averaging: Averaging | str = Averaging.MICRO,
 ) -> StratifiedReport:
-    """Corpus-wide stratified report; strata accumulate across documents."""
+    """Corpus-wide stratified report; strata accumulate across documents.
+    With no named key mention in the corpus, require_named degrades, with a
+    warning, and the report's ``config`` says so."""
     pairs = _sorted(pairs)
-    config = effective_stratum_config(pairs, config)
+    if config.require_named and not any(p.key.named for p in pairs):
+        warnings.warn(
+            "no key mention carries is_named; require_named degraded to false "
+            "for this corpus",
+            UserWarning,
+            stacklevel=2,
+        )
+        config = config._replace(require_named=False)
     return _stratified(pairs, config, metrics, Averaging(averaging))
 
 

@@ -342,13 +342,6 @@ def check_same_doc(key: Partition, response: Partition) -> None:
         )
 
 
-def f1_of(recall: float, precision: float) -> float:
-    """Harmonic mean with the 0/0 -> 0 convention."""
-    if recall + precision == 0:
-        return 0.0
-    return 2.0 * recall * precision / (recall + precision)
-
-
 class ScoreTriple(checked_tuple("ScoreTriple", "recall precision f1")):
     """Recall, precision, F1, each in [0, 1].
 
@@ -369,7 +362,10 @@ class ScoreTriple(checked_tuple("ScoreTriple", "recall precision f1")):
 
     @classmethod
     def from_rp(cls, recall: float, precision: float) -> "ScoreTriple":
-        return cls(recall, precision, f1_of(recall, precision))
+        """F1 as the harmonic mean, with the 0/0 -> 0 convention."""
+        if recall + precision == 0:
+            return cls(recall, precision, 0.0)
+        return cls(recall, precision, 2.0 * recall * precision / (recall + precision))
 
 
 ZERO_TRIPLE = ScoreTriple(0.0, 0.0, 0.0)

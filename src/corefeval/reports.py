@@ -71,8 +71,9 @@ def _json(obj) -> str:
 
 
 def _table(rows: list[tuple[str, ...]], align_left: int = 1) -> list[str]:
-    """Align columns; the first ``align_left`` columns are left-justified."""
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    """Align columns; the first ``align_left`` columns are left-justified.
+    No rows give no lines."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
     lines = []
     for row in rows:
         cells = [

@@ -7,11 +7,13 @@ surfaced separately as the leakage count: response chains whose key
 mentions straddle two or more strata.  Response mentions absent from the
 key belong to no stratum; their count is reported alongside.
 
-Everything here derives from the document's one overlap table: a
-stratum is the projection of the table onto its key rows
-(``stratum_tables``), and leakage and singleton detection read the
-table's cells.  ``stratum_pairs`` builds the same strata as partitions;
-it is the reference the table path is tested against.
+``chain_strata`` labels each key chain, in table row order; every other
+function groups by its labels.  Everything here derives from the
+document's one overlap table: a stratum is the projection of the table
+onto its key rows (``stratum_tables``), and leakage and singleton
+detection read the table's cells.  ``stratum_pairs`` builds the same
+strata as partitions; it is the reference the table path is tested
+against.  ``corpus.stratify_corpus`` holds the require_named degrade.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ModelError
 from .metrics import MetricReport, Overlap, PRCounts
-from .model import Chain, Partition, ScoreTriple, check_same_doc, checked_tuple
-from .model import project
+from .model import Partition, ScoreTriple, check_same_doc, checked_tuple, project
 
 
 class Stratum(str, Enum):
@@ -61,14 +62,6 @@ def chain_strata(key: Partition, config: StratumConfig) -> list[Stratum]:
         _stratum(len(spans), bool(named) and not named.isdisjoint(spans), config)
         for spans in key.spans
     ]
-
-
-def stratify(
-    key: Partition, config: StratumConfig
-) -> dict[Stratum, frozenset[Chain]]:
-    """Classify every key chain; the three sets partition key.chains."""
-    labels = chain_strata(key, config)
-    return {s: frozenset(c for c, x in zip(key.chains, labels) if x is s) for s in Stratum}
 
 
 def table_singleton_detection(t: Overlap) -> PRCounts:
@@ -116,13 +109,13 @@ def stratum_pairs(
 ) -> dict[Stratum, tuple[Partition, Partition]]:
     """Per-stratum (key slice, projected response) pairs, non-empty strata only."""
     check_same_doc(key, response)
+    labels = chain_strata(key, config)
     out: dict[Stratum, tuple[Partition, Partition]] = {}
-    for stratum, chains in stratify(key, config).items():
-        if not chains:
-            continue
-        key_slice = Partition(key.doc_id, chains, key.role)
-        resp_slice = project(response, key_slice.mention_set)
-        out[stratum] = (key_slice, resp_slice)
+    for stratum in Stratum:
+        chains = [c for c, s in zip(key.chains, labels) if s is stratum]
+        if chains:
+            key_slice = Partition(key.doc_id, chains, key.role)
+            out[stratum] = (key_slice, project(response, key_slice.mention_set))
     return out
 
 

@@ -13,8 +13,17 @@ from typing import Iterable, Mapping, Optional
 
 from hypothesis import strategies as st
 
-from corefeval import Chain, Document, Mention, Partition, Role
+from corefeval import (
+    Chain,
+    Document,
+    Mention,
+    Partition,
+    Role,
+    Stratum,
+    StratumConfig,
+)
 from corefeval.metrics import Overlap
+from corefeval.stratify import chain_strata
 
 
 def label_mapping(*chain_dicts: Mapping[str, frozenset]) -> dict:
@@ -56,6 +65,17 @@ def build_pair(
         build_partition(key_chains, Role.KEY, doc, mapping, named),
         build_partition(resp_chains, Role.RESPONSE, doc, mapping, named),
     )
+
+
+def chains_by_stratum(
+    key: Partition, config: StratumConfig
+) -> dict[Stratum, frozenset[Chain]]:
+    """Every stratum, empty ones too, with the key chains ``chain_strata``
+    puts in it."""
+    labels = chain_strata(key, config)
+    return {
+        s: frozenset(c for c, x in zip(key.chains, labels) if x is s) for s in Stratum
+    }
 
 
 def doc_for(partition: Partition, extra_tokens: int = 0) -> Document:

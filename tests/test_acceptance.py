@@ -38,7 +38,6 @@ from corefeval import (
     remove_spurious,
     score_all,
     stratified_score,
-    stratify,
     zipf_fit,
 )
 from corefeval.cli import main
@@ -245,7 +244,7 @@ def test_criterion_6_stratification_properties():
         key = Partition("d", chains, Role.KEY)
         config = StratumConfig(rng.randrange(2, 16), rng.random() < 0.5)
 
-        strata = stratify(key, config)
+        strata = helpers.chains_by_stratum(key, config)
         assigned = sorted(c.chain_id for group in strata.values() for c in group)
         assert assigned == sorted(c.chain_id for c in key.chains)
         total = sum(
@@ -257,7 +256,8 @@ def test_criterion_6_stratification_properties():
             config.long_threshold + rng.randrange(1, 5), config.require_named
         )
         major_now = {c.chain_id for c in strata[Stratum.MAJOR]}
-        major_wider = {c.chain_id for c in stratify(key, wider)[Stratum.MAJOR]}
+        wider_strata = helpers.chains_by_stratum(key, wider)
+        major_wider = {c.chain_id for c in wider_strata[Stratum.MAJOR]}
         assert major_wider <= major_now
 
         report = stratified_score(

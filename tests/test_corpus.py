@@ -15,7 +15,6 @@ from corefeval import (
     Stratum,
     StratumConfig,
     corpus_stats_report,
-    effective_stratum_config,
     load_corpus,
     pair_corpora,
     pathology_corpus,
@@ -160,11 +159,20 @@ class TestScoreCorpus:
         assert report.conll_average is None
 
 
+@pytest.mark.parametrize("run", [score_corpus, stratify_corpus, pathology_corpus])
+def test_pair_of_two_documents_is_rejected(run):
+    key = make_pair(DOC1_KEY, DOC1_RESP, doc="a", named=frozenset({1})).key
+    response = make_pair(DOC2_KEY, DOC2_RESP, doc="b").response
+    with pytest.raises(DocMismatch) as exc:
+        run([DocPair(key, response)])
+    assert exc.value.doc_id == "a"
+
+
 class TestEffectiveConfig:
     def test_unnamed_corpus_degrades_with_warning(self):
         pairs = two_doc_pairs()
         with pytest.warns(UserWarning, match="require_named degraded"):
-            config = effective_stratum_config(pairs, StratumConfig())
+            config = stratify_corpus(pairs, StratumConfig()).config
         assert config.require_named is False
         assert config.long_threshold == StratumConfig().long_threshold
 
@@ -172,7 +180,7 @@ class TestEffectiveConfig:
         pairs = [make_pair(DOC1_KEY, DOC1_RESP, named=frozenset({1}))]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            config = effective_stratum_config(pairs, StratumConfig())
+            config = stratify_corpus(pairs, StratumConfig()).config
         assert caught == []
         assert config == StratumConfig()
 
@@ -181,7 +189,7 @@ class TestEffectiveConfig:
         requested = StratumConfig(require_named=False)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            config = effective_stratum_config(pairs, requested)
+            config = stratify_corpus(pairs, requested).config
         assert caught == []
         assert config == requested
 

@@ -3,11 +3,13 @@
 An import that nothing uses outlives the code it served; the bench hooks
 that ``corpus.py`` imports for attribute lookup are marked
 ``# noqa: F401`` and exempt.  ``__init__.py`` imports exactly the names
-it lists in ``__all__``.
+it lists in ``__all__``, and none of them hides a submodule.
 """
 
 import ast
+import importlib
 import pathlib
+import types
 
 import pytest
 
@@ -50,3 +52,11 @@ def test_every_imported_name_is_used(module):
 def test_init_imports_exactly_all():
     assert {name for name, _ in imports(SRC / "__init__.py")} == set(corefeval.__all__)
     assert len(corefeval.__all__) == len(set(corefeval.__all__))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_submodule_is_the_package_attribute(module):
+    name = module.removesuffix(".py")
+    attribute = getattr(corefeval, name)
+    assert isinstance(attribute, types.ModuleType)
+    assert importlib.import_module(f"corefeval.{name}") is attribute

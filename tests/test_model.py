@@ -19,7 +19,6 @@ from corefeval import (
     ScoreTriple,
     StratumConfig,
     compute_stats,
-    f1_of,
     optimal_alignment,
     pathology,
     score_all,
@@ -199,8 +198,8 @@ class TestScoreTriple:
             ZERO_TRIPLE._replace(f1=1.5)
 
     def test_f1_of_convention(self):
-        assert f1_of(0.0, 0.0) == 0.0
-        assert f1_of(1.0, 1.0) == 1.0
+        assert ScoreTriple.from_rp(0.0, 0.0).f1 == 0.0
+        assert ScoreTriple.from_rp(1.0, 1.0).f1 == 1.0
 
 
 class TestCorpusSource:

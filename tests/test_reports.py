@@ -90,6 +90,20 @@ class TestMetricReportRendering:
         for fmt in OutputFormat:
             assert emit_report(metric_report, fmt) == emit_report(metric_report, fmt)
 
+    def test_report_without_counts(self):
+        # The counts section has no rows, so the table prints no lines for it.
+        report = MetricReport({MetricId.MUC: ScoreTriple(1.0, 1.0, 1.0)}, None, {})
+        assert emit_report(report, OutputFormat.TABLE) == "\n".join([
+            "metric  recall  precision      f1",
+            "muc     1.0000     1.0000  1.0000",
+            "",
+            "",
+        ])
+        assert emit_report(report, OutputFormat.CSV) == "\n".join([
+            "metric,recall,precision,f1",
+            "muc,1.0000,1.0000,1.0000",
+        ])
+
 
 class TestStratifiedRendering:
     def report(self):

@@ -14,7 +14,6 @@ from corefeval import (
     project,
     score_all,
     stratified_score,
-    stratify,
 )
 from corefeval.stratify import chain_strata
 
@@ -81,20 +80,22 @@ class TestStratify:
         ]
         part = Partition("d", chains, Role.KEY)
         config = StratumConfig(long_threshold=10, require_named=False)
-        strata = stratify(part, config)
+        strata = helpers.chains_by_stratum(part, config)
         assert {c.chain_id for c in strata[Stratum.MAJOR]} == {"a", "b"}
         assert {c.chain_id for c in strata[Stratum.SECONDARY]} == {"c"}
         assert {c.chain_id for c in strata[Stratum.SINGLETON]} == {"d", "e"}
 
     def test_all_three_keys_always_present(self):
-        strata = stratify(Partition("d", [], Role.KEY), StratumConfig())
+        empty = Partition("d", [], Role.KEY)
+        strata = helpers.chains_by_stratum(empty, StratumConfig())
         assert set(strata) == set(Stratum)
         assert all(s == frozenset() for s in strata.values())
 
     @given(helpers.label_partitions())
     def test_strata_partition_the_chains(self, chains):
         part = helpers.build_partition(chains, Role.KEY)
-        strata = stratify(part, StratumConfig(require_named=False, long_threshold=3))
+        config = StratumConfig(require_named=False, long_threshold=3)
+        strata = helpers.chains_by_stratum(part, config)
         seen = [c for group in strata.values() for c in group]
         assert len(seen) == len(part.chains)
         assert set(seen) == set(part.chains)

@@ -13,11 +13,8 @@ from .corpus import (
     corpus_stats_report,
     load_corpus,
     pair_corpora,
-    pathology,
     pathology_corpus,
-    score_all,
     score_corpus,
-    stratified_score,
     stratify_corpus,
 )
 from .conll import iter_conll, parse_conll
@@ -131,14 +128,11 @@ __all__ = [
     "parse_conll",
     "parse_jsonl",
     "partition_tallies",
-    "pathology",
     "pathology_corpus",
     "project",
     "remove_spurious",
-    "score_all",
     "score_corpus",
     "stats_report",
-    "stratified_score",
     "stratify_corpus",
     "zipf_fit",
 ]

@@ -1,30 +1,8 @@
 """Command-line front end for coreference evaluation.
 
-Usage:
-  corefeval score     --key KEY --response RESP [options]
-  corefeval stratify  --key KEY --response RESP [options]
-  corefeval stats     --key KEY [--exclude-singletons] [options]
-  corefeval pathology --key KEY --response RESP [options]
-
-Common options:
-  --format {conll,jsonl}     input format; when omitted, names ending in
-                             .jsonl or .jl are jsonl, those ending in conll CoNLL
-  --output {table,json,csv}  report format (default: table)
-  --metrics LIST             comma-separated subset of
-                             muc,b3,ceaf_m,ceaf_e,blanc,lea (default: all)
-  --averaging {micro,macro}  corpus averaging (default: micro)
-
-Stratify options:
-  --long-threshold N              minimum size of a major chain (default: 10)
-  --require-named/--no-require-named
-                                  major chains must contain a named mention
-                                  (default: on; degrades automatically with a
-                                  warning when the corpus carries no named
-                                  flags, as CoNLL input never does)
-
-Stats options:
-  --exclude-singletons       drop singletons from the rank-size series
-                             and the Zipf fit
+Subcommands: score, stratify, stats and pathology; ``corefeval COMMAND
+--help`` describes each one's flags.  Every flag is checked before any
+file is read.
 
 Exit status: 0 on success, 1 on input errors (unreadable files, parse
 failures, document mismatches, bad flags), 2 on internal errors.  Errors
@@ -78,59 +56,79 @@ def _metric_list(text: str) -> tuple[MetricId, ...]:
     return tuple(wanted)
 
 
+COMMANDS = {
+    "score": "score all metrics side by side",
+    "stratify": "score major/secondary/singleton strata separately",
+    "stats": "corpus counts, ratios, and the rank-size series",
+    "pathology": "rescore after removing spurious response mentions",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="corefeval", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
-
-    def common(sub: argparse.ArgumentParser, response: bool) -> None:
-        sub.add_argument("--key", required=True, dest="key_path", metavar="PATH")
-        if response:
+    for name, summary in COMMANDS.items():
+        sub = commands.add_parser(name, help=summary)
+        sub.add_argument(
+            "--key", required=True, dest="key_path", metavar="PATH", help="key corpus"
+        )
+        if name != "stats":
             sub.add_argument(
-                "--response", required=True, dest="response_path", metavar="PATH"
+                "--response",
+                required=True,
+                dest="response_path",
+                metavar="PATH",
+                help="response corpus",
             )
         sub.add_argument(
-            "--format", choices=[f.value for f in SourceFormat], default=None
+            "--format",
+            choices=[f.value for f in SourceFormat],
+            default=None,
+            help="input format (default: from each file name: .jsonl or .jl "
+            "is jsonl, a name ending in conll is CoNLL)",
         )
         sub.add_argument(
             "--output",
             choices=[f.value for f in OutputFormat],
             default=OutputFormat.TABLE.value,
+            help="report format (default: table)",
         )
-
-    def scoring(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--metrics", type=_metric_list, default=ALL_METRICS)
+        if name == "stats":
+            sub.add_argument(
+                "--exclude-singletons",
+                action="store_true",
+                help="drop singletons from the rank-size series and the Zipf "
+                "fit (default: off)",
+            )
+            continue
+        sub.add_argument(
+            "--metrics",
+            type=_metric_list,
+            default=ALL_METRICS,
+            help="comma-separated subset of "
+            f"{','.join(m.value for m in ALL_METRICS)} (default: all)",
+        )
         sub.add_argument(
             "--averaging",
             choices=[a.value for a in Averaging],
             default=Averaging.MICRO.value,
+            help="corpus averaging (default: micro)",
         )
-
-    score = commands.add_parser("score", help="score all metrics side by side")
-    common(score, response=True)
-    scoring(score)
-
-    stratify = commands.add_parser(
-        "stratify", help="score major/secondary/singleton strata separately"
-    )
-    common(stratify, response=True)
-    scoring(stratify)
-    stratify.add_argument("--long-threshold", type=int, default=10)
-    stratify.add_argument(
-        "--require-named", action=argparse.BooleanOptionalAction, default=True
-    )
-
-    stats = commands.add_parser(
-        "stats", help="corpus counts, ratios, and the rank-size series"
-    )
-    common(stats, response=False)
-    stats.add_argument("--exclude-singletons", action="store_true")
-
-    pathology = commands.add_parser(
-        "pathology", help="rescore after removing spurious response mentions"
-    )
-    common(pathology, response=True)
-    scoring(pathology)
-
+        if name == "stratify":
+            sub.add_argument(
+                "--long-threshold",
+                type=int,
+                default=10,
+                help="minimum size of a major chain (default: 10)",
+            )
+            sub.add_argument(
+                "--require-named",
+                action=argparse.BooleanOptionalAction,
+                default=True,
+                help="major chains must contain a named mention (default: on; "
+                "degrades with a warning when no key mention is named, as in "
+                "CoNLL input)",
+            )
     return parser
 
 
@@ -144,8 +142,7 @@ def _infer_format(path: str) -> SourceFormat:
     )
 
 
-def _load(path: str, fmt: Optional[str], role: Role) -> CorpusSource:
-    fmt = fmt or _infer_format(path)
+def _load(path: str, fmt: SourceFormat | str, role: Role) -> CorpusSource:
     try:
         return load_corpus(path, fmt, role)
     except CorefEvalError as exc:
@@ -155,11 +152,17 @@ def _load(path: str, fmt: Optional[str], role: Role) -> CorpusSource:
 def _execute(args: argparse.Namespace) -> str:
     # The library coerces the string flags to their enums; each command reads
     # only the flags its subparser defines, so every default lives there.
-    key = _load(args.key_path, args.format, Role.KEY)
+    # Every flag is checked before the first file is opened.
+    key_format = args.format or _infer_format(args.key_path)
     if args.command == "stats":
+        key = _load(args.key_path, key_format, Role.KEY)
         report = corpus_stats_report(key, args.exclude_singletons)
         return emit_report(report, args.output)
-    response = _load(args.response_path, args.format, Role.RESPONSE)
+    response_format = args.format or _infer_format(args.response_path)
+    if args.command == "stratify":
+        stratum_config = StratumConfig(args.long_threshold, args.require_named)
+    key = _load(args.key_path, key_format, Role.KEY)
+    response = _load(args.response_path, response_format, Role.RESPONSE)
     try:
         pairs = pair_corpora(key, response)
     except DocMismatch as exc:
@@ -169,7 +172,6 @@ def _execute(args: argparse.Namespace) -> str:
     if args.command == "score":
         report = score_corpus(pairs, args.metrics, args.averaging)
     elif args.command == "stratify":
-        stratum_config = StratumConfig(args.long_threshold, args.require_named)
         report = stratify_corpus(
             pairs, stratum_config, args.metrics, args.averaging
         )

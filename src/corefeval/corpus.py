@@ -12,17 +12,19 @@ built when the pair is reached and dropped once its counts are taken:
 ``score`` reads the metrics and tallies off it, ``stratify`` scores its
 per-stratum row projections and reads leakage, singleton detection and
 the spurious count off its cells (``stratify_corpus`` first degrades
-require_named when no key mention in the corpus is named), and ``pathology`` scores it before and
-its projection onto every key row after spurious-mention removal.  No
-partition is rebuilt on any of these paths.
+require_named when no key mention in the corpus is named), and
+``pathology`` scores it before and its projection onto every key row
+after spurious-mention removal.  No partition is rebuilt on any of these
+paths.
 
 Micro averaging sums each metric's numerators and denominators across
 documents before dividing; macro averaging takes the component-wise
 arithmetic mean of per-document triples (F1 is averaged directly, not
 recomputed from the averaged recall and precision).  Both averagings go
 through one reducer, for whole reports and for each stratum alike.
-Scoring one document is scoring a corpus of one pair: ``score_all``,
-``stratified_score`` and ``pathology`` are thin calls into this path.
+To score one document, pass a corpus of one pair,
+``[DocPair(key, response)]``, to ``score_corpus``, ``stratify_corpus`` or
+``pathology_corpus``; the require_named degrade then reads that document.
 Scoring functions are pure, so documents could be scored concurrently and
 reduced; this module keeps the reduction sequential and deterministic.
 """
@@ -87,7 +89,8 @@ class Averaging(str, Enum):
 
 class DocPair(NamedTuple):
     """The key and response partitions of one document; ``metrics.overlap``,
-    which every scoring path builds, checks that their doc ids agree."""
+    which every scoring path builds, checks that their doc ids agree.  A
+    list of one pair is the corpus that scores one document."""
 
     key: Partition
     response: Partition
@@ -176,23 +179,15 @@ def score_corpus(
     return _reduce(docs, wanted, Averaging(averaging))
 
 
-def score_all(
-    key: Partition,
-    response: Partition,
-    metrics: Optional[Iterable[MetricId | str]] = None,
-) -> MetricReport:
-    """All requested metrics side by side, plus the CoNLL average and counts."""
-    return score_corpus([DocPair(key, response)], metrics)
-
-
 def stratify_corpus(
     pairs: Iterable[DocPair],
     config: StratumConfig = StratumConfig(),
     metrics: Optional[Iterable[MetricId | str]] = None,
     averaging: Averaging | str = Averaging.MICRO,
 ) -> StratifiedReport:
-    """Corpus-wide stratified report; strata accumulate across documents.
-    With no named key mention in the corpus, require_named degrades, with a
+    """Corpus-wide stratified report; strata accumulate across documents,
+    and macro averages each stratum over the documents that have it.  With
+    no named key mention in the corpus, require_named degrades, with a
     warning, and the report's ``config`` says so."""
     pairs = _sorted(pairs)
     if config.require_named and not any(p.key.named for p in pairs):
@@ -203,18 +198,8 @@ def stratify_corpus(
             stacklevel=2,
         )
         config = config._replace(require_named=False)
-    return _stratified(pairs, config, metrics, Averaging(averaging))
-
-
-def _stratified(
-    pairs: Sequence[DocPair],
-    config: StratumConfig,
-    metrics: Optional[Iterable[MetricId | str]],
-    averaging: Averaging,
-) -> StratifiedReport:
-    """Stratified report under ``config`` as given; macro averages each
-    stratum over the documents that have it."""
     wanted = normalize_metrics(metrics)
+    averaging = Averaging(averaging)
     strata: dict[Stratum, list[DocCounts]] = {}
     detection = []
     leakage = spurious = 0
@@ -235,17 +220,6 @@ def _stratified(
         config=config,
         spurious_mentions=spurious,
     )
-
-
-def stratified_score(
-    key: Partition,
-    response: Partition,
-    config: StratumConfig = StratumConfig(),
-    metrics: Optional[Iterable[MetricId | str]] = None,
-) -> StratifiedReport:
-    """Score each stratum of one document; ``config`` applies as given,
-    without the corpus-level require_named degrade."""
-    return _stratified([DocPair(key, response)], config, metrics, Averaging.MICRO)
 
 
 def pathology_corpus(
@@ -271,15 +245,6 @@ def pathology_corpus(
     return PathologyReport(
         before, after, recall_deltas(before, after), before.counts["response_spurious"]
     )
-
-
-def pathology(
-    key: Partition,
-    response: Partition,
-    metrics: Optional[Iterable[MetricId | str]] = None,
-) -> PathologyReport:
-    """Score, strip spurious response mentions, rescore, and report deltas."""
-    return pathology_corpus([DocPair(key, response)], metrics)
 
 
 def corpus_stats_report(

@@ -87,9 +87,11 @@ def _table(rows: list[tuple[str, ...]], align_left: int = 1) -> list[str]:
 def _text(sections: list[Section], fmt: OutputFormat) -> str:
     """CSV or table blocks, one per section, separated by a blank line.  A
     field/value section has no header: CSV heads it ``field,value`` and the
-    table prints no header line."""
+    table prints no header line; with no rows either, it prints nothing."""
     blocks = []
     for header, rows, align_left in sections:
+        if not (header or rows):
+            continue
         if fmt is OutputFormat.CSV:
             lines = [",".join(header or ("field", "value"))]
             lines.extend(",".join(row) for row in rows)

@@ -20,6 +20,7 @@ import oracles
 from corefeval import (
     CeafVariant,
     Chain,
+    DocPair,
     Document,
     Mention,
     MetricId,
@@ -36,8 +37,8 @@ from corefeval import (
     parse_jsonl,
     pathology_corpus,
     remove_spurious,
-    score_all,
-    stratified_score,
+    score_corpus,
+    stratify_corpus,
     zipf_fit,
 )
 from corefeval.cli import main
@@ -58,7 +59,7 @@ DERIVED_AVG = Fraction(11, 15)
 
 def check_derived_instance():
     key, resp = helpers.build_pair(DERIVED_KEY, DERIVED_RESP)
-    report = score_all(key, resp)
+    report = score_corpus([DocPair(key, resp)])
     for metric, expected in DERIVED_F1.items():
         assert abs(report.scores[metric].f1 - float(expected)) <= 1e-9
         recomputed = oracles.ORACLES[metric.value](DERIVED_KEY, DERIVED_RESP)
@@ -94,7 +95,7 @@ def test_criterion_2_two_decimal_anchor_instance():
         "r3": frozenset("fghi"),
     }
     key, resp = helpers.build_pair(anchor_key, anchor_resp)
-    report = score_all(key, resp)
+    report = score_corpus([DocPair(key, resp)])
     assert abs(report.scores[MetricId.MUC].f1 - 0.40) <= 0.005
     assert abs(report.scores[MetricId.CEAF_E].f1 - 0.52) <= 0.005
     check_derived_instance()
@@ -188,19 +189,19 @@ def test_criterion_5_metric_property_sweep():
         key, resp = helpers.build_pair(key_labels, resp_labels)
         assert len(key.chains) <= 6 and len(resp.chains) <= 6
 
-        forward = score_all(key, resp)
+        forward = score_corpus([DocPair(key, resp)])
         for triple in forward.scores.values():
             for value in (triple.recall, triple.precision, triple.f1):
                 assert 0.0 <= value <= 1.0
 
-        backward = score_all(resp, key)
+        backward = score_corpus([DocPair(resp, key)])
         for metric, fwd in forward.scores.items():
             bwd = backward.scores[metric]
             assert fwd.precision == bwd.recall
             assert fwd.recall == bwd.precision
 
-        identity = score_all(
-            key, Partition(key.doc_id, key.chains, Role.RESPONSE)
+        identity = score_corpus(
+            [DocPair(key, Partition(key.doc_id, key.chains, Role.RESPONSE))]
         )
         mentions = len(key.mention_set)
         has_link = any(len(c.mentions) > 1 for c in key.chains)
@@ -260,9 +261,10 @@ def test_criterion_6_stratification_properties():
         major_wider = {c.chain_id for c in wider_strata[Stratum.MAJOR]}
         assert major_wider <= major_now
 
-        report = stratified_score(
-            key, Partition("d", chains, Role.RESPONSE), config
-        )
+        response = Partition("d", chains, Role.RESPONSE)
+        report = stratify_corpus([DocPair(key, response)], config)
+        # the strata above are drawn under ``config``, so it must apply as given
+        assert report.config == config
         assert report.leakage == 0
         for stratum, group in strata.items():
             if not group:

@@ -261,6 +261,47 @@ class TestInputErrors:
         assert rc == 1
         assert "long_threshold" in err
 
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("stratify", ["--long-threshold", "1"], "long_threshold must be >= 2"),
+            ("score", ["--response", "response.txt"], "cannot infer format"),
+        ],
+        ids=["threshold", "format"],
+    )
+    def test_flags_are_checked_before_any_file_is_read(
+        self, fixtures_dir, tmp_path, monkeypatch, capsys, command, extra, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        response = str(fixtures_dir / "derived_response.jsonl")
+        args = [command, "--key", "absent.jsonl", "--response", response, *extra]
+        rc = main(args)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "chains, message",
+        [
+            ('["a"]', "each chain must be an object"),
+            ('[{"chain_id": "a", "mentions": [0]}]', "each mention must be an object"),
+            (
+                '[{"chain_id": "a", "mentions": [{"start": 0, "end": 0, "surface": 7}]}]',
+                "field 'surface' must be a string",
+            ),
+        ],
+        ids=["chain", "mention", "surface"],
+    )
+    def test_malformed_jsonl_structure_reports_path_and_line(
+        self, tmp_path, capsys, chains, message
+    ):
+        bad = tmp_path / "bad.jsonl"
+        record = '{"doc_id": "d", "num_tokens": 1, "chains": ' + chains + "}\n"
+        bad.write_text(record, encoding="utf-8")
+        rc = main(["stats", "--key", str(bad)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 1: {message}\n"
+
     def test_unknown_metric_is_a_usage_error(self, fixtures_dir, capsys):
         with pytest.raises(SystemExit) as exc:
             main(derived_args(fixtures_dir, "--metrics", "muc,bogus"))
@@ -286,6 +327,65 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("internal error: RuntimeError: wedged")
+
+
+@pytest.mark.parametrize("command", ["score", "stratify", "pathology"])
+def test_macro_averaging_of_an_empty_corpus_is_zero(tmp_path, capsys, command):
+    def numbers(value):
+        if isinstance(value, dict):
+            for item in value.values():
+                yield from numbers(item)
+        else:
+            yield value
+
+    key, response = tmp_path / "key.jsonl", tmp_path / "response.jsonl"
+    key.write_text("", encoding="utf-8")
+    response.write_text("", encoding="utf-8")
+    rc = main(
+        [command, "--key", str(key), "--response", str(response)]
+        + ["--averaging", "macro", "--output", "json"]
+    )
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    data.pop("config", None)
+    values = list(numbers(data))
+    assert values
+    assert all(value == 0 for value in values)
+
+
+HELP_TEXT = {
+    "score": ["--key PATH key corpus", "--response PATH response corpus"],
+    "stratify": [
+        "minimum size of a major chain (default: 10)",
+        "--require-named, --no-require-named major chains must contain a named",
+        "(default: on;",
+    ],
+    "stats": ["--exclude-singletons drop singletons", "(default: off)"],
+    "pathology": ["--response PATH response corpus"],
+}
+SCORING_HELP = [
+    "comma-separated subset of muc,b3,ceaf_m,ceaf_e,blanc,lea (default: all)",
+    "corpus averaging (default: micro)",
+]
+COMMON_HELP = [
+    "--key PATH key corpus",
+    "input format (default: from each file name:",
+    "report format (default: table)",
+]
+
+
+@pytest.mark.parametrize("command", sorted(HELP_TEXT))
+def test_help_describes_every_flag(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    # argparse wraps to the terminal width; compare with the wrapping undone
+    text = " ".join(capsys.readouterr().out.split())
+    expected = HELP_TEXT[command] + COMMON_HELP
+    if command != "stats":
+        expected += SCORING_HELP
+    for snippet in expected:
+        assert snippet in text
 
 
 class TestStratifyCommand:

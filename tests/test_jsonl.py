@@ -212,6 +212,18 @@ def test_emit_parse_round_trip_preserves_metadata(doc_part):
     assert parsed == original
 
 
+def test_metadata_record_is_an_emit_fixed_point():
+    # Partition equality ignores ``named`` and ``surfaces``: compare bytes.
+    mentions = [
+        {"start": 0, "end": 1, "is_named": True, "surface": "Chloé Dupont"},
+        {"start": 2, "end": 2, "surface": "she"},
+    ]
+    chains = [{"chain_id": "a", "mentions": mentions}]
+    doc = {"doc_id": "d", "num_tokens": 3, "chains": chains}
+    text = json.dumps(doc, ensure_ascii=False) + "\n"
+    assert emit_text(parse_jsonl(text.splitlines())) == text
+
+
 def test_shipped_fixtures_are_emit_fixed_points(fixtures_dir):
     for name in (
         "derived_key.jsonl",

@@ -12,6 +12,7 @@ from corefeval import (
     CeafVariant,
     Chain,
     DocMismatch,
+    DocPair,
     MetricId,
     Partition,
     Role,
@@ -23,9 +24,9 @@ from corefeval import (
     metric_counts,
     muc,
     partition_tallies,
-    pathology,
+    pathology_corpus,
     remove_spurious,
-    score_all,
+    score_corpus,
 )
 
 
@@ -84,7 +85,7 @@ class TestWorkedExample:
 
     def test_conll_average(self):
         key, resp = helpers.build_pair(KEY, RESP)
-        report = score_all(key, resp)
+        report = score_corpus([DocPair(key, resp)])
         assert report.conll_average == pytest.approx(11 / 15, abs=1e-12)
 
     def test_blanc_category_structure(self):
@@ -268,18 +269,20 @@ class TestReportsAndTallies:
 
     def test_subset_report_has_no_average(self):
         key, resp = helpers.build_pair(KEY, RESP)
-        report = score_all(key, resp, metrics=[MetricId.MUC, MetricId.LEA])
+        report = score_corpus(
+            [DocPair(key, resp)], metrics=[MetricId.MUC, MetricId.LEA]
+        )
         assert set(report.scores) == {MetricId.MUC, MetricId.LEA}
         assert report.conll_average is None
 
     def test_metrics_reported_in_canonical_order(self):
         key, resp = helpers.build_pair(KEY, RESP)
-        report = score_all(key, resp, metrics=["lea", "muc", "b3"])
+        report = score_corpus([DocPair(key, resp)], metrics=["lea", "muc", "b3"])
         assert list(report.scores) == [MetricId.MUC, MetricId.B3, MetricId.LEA]
 
     def test_string_metric_ids_accepted(self):
         key, resp = helpers.build_pair(KEY, RESP)
-        report = score_all(key, resp, metrics=["muc"])
+        report = score_corpus([DocPair(key, resp)], metrics=["muc"])
         assert report.scores[MetricId.MUC].f1 == pytest.approx(2 / 3, abs=1e-12)
 
 
@@ -316,7 +319,7 @@ class TestPathology:
         key, resp = helpers.build_pair(
             {"k": frozenset({1, 2, 3})}, {"r": frozenset({1, 2, 9})}
         )
-        report = pathology(key, resp)
+        report = pathology_corpus([DocPair(key, resp)])
         assert report.removed_mentions == 1
         assert report.after.counts["response_spurious"] == 0
         assert set(report.recall_deltas) == set(ALL_METRICS)
@@ -324,7 +327,7 @@ class TestPathology:
 
     def test_respects_metric_selection(self):
         key, resp = helpers.build_pair(KEY, RESP)
-        report = pathology(key, resp, metrics=["muc", "blanc"])
+        report = pathology_corpus([DocPair(key, resp)], metrics=["muc", "blanc"])
         assert set(report.recall_deltas) == {MetricId.MUC, MetricId.BLANC}
 
 

@@ -20,10 +20,10 @@ from corefeval import (
     StratumConfig,
     compute_stats,
     optimal_alignment,
-    pathology,
-    score_all,
+    pathology_corpus,
+    score_corpus,
     stats_report,
-    stratified_score,
+    stratify_corpus,
     zipf_fit,
 )
 from corefeval.metrics import overlap
@@ -232,8 +232,11 @@ def _record_twins():
         "d", [Chain("x", [mk(0, 1)]), Chain("y", [mk(3), mk(4)])], Role.RESPONSE
     )
     doc = Document("d", 5)
+    pairs = [DocPair(plain, response)]
 
     def build():
+        with pytest.warns(UserWarning, match="require_named degraded"):
+            stratified = stratify_corpus(pairs)
         return {
             "Document": Document("d", 5),
             "ScoreTriple": ScoreTriple(0.5, 0.25, 1 / 3),
@@ -244,9 +247,9 @@ def _record_twins():
             "BlancCounts": BlancCounts(PRCounts(1, 2, 1, 4)),
             "Overlap": overlap(plain, response),
             "Alignment": optimal_alignment(plain, response, "entity"),
-            "MetricReport": score_all(plain, response),
-            "PathologyReport": pathology(plain, response),
-            "StratifiedReport": stratified_score(plain, response),
+            "MetricReport": score_corpus(pairs),
+            "PathologyReport": pathology_corpus(pairs),
+            "StratifiedReport": stratified,
             "CorpusStats": compute_stats([(doc, plain)]),
             "ZipfFit": zipf_fit([(1, 3), (2, 1)]),
             "StatsReport": stats_report([(doc, plain)]),

@@ -4,18 +4,20 @@ import pytest
 
 import helpers
 from corefeval import (
+    DocPair,
     MetricId,
     MetricReport,
     OutputFormat,
     Partition,
     Role,
     ScoreTriple,
+    StratifiedReport,
     StratumConfig,
     emit_report,
-    pathology,
-    score_all,
+    pathology_corpus,
+    score_corpus,
     stats_report,
-    stratified_score,
+    stratify_corpus,
 )
 from corefeval.cli import main
 
@@ -26,7 +28,7 @@ RESP = {"r1": frozenset({1, 2}), "r2": frozenset({3, 4, 5})}
 @pytest.fixture
 def metric_report():
     key, resp = helpers.build_pair(KEY, RESP)
-    return score_all(key, resp)
+    return score_corpus([DocPair(key, resp)])
 
 
 def csv_triple(triple):
@@ -59,7 +61,7 @@ class TestMetricReportRendering:
 
     def test_csv_without_full_conll_set_has_no_average_row(self):
         key, resp = helpers.build_pair(KEY, RESP)
-        report = score_all(key, resp, metrics=["muc"])
+        report = score_corpus([DocPair(key, resp)], metrics=["muc"])
         lines = emit_report(report, "csv").splitlines()
         assert lines == ["metric,recall,precision,f1", "muc,0.6667,0.6667,0.6667"]
 
@@ -91,13 +93,12 @@ class TestMetricReportRendering:
             assert emit_report(metric_report, fmt) == emit_report(metric_report, fmt)
 
     def test_report_without_counts(self):
-        # The counts section has no rows, so the table prints no lines for it.
+        # The counts section has no rows, so neither format prints a block
+        # for it, not even the blank line that would separate it.
         report = MetricReport({MetricId.MUC: ScoreTriple(1.0, 1.0, 1.0)}, None, {})
         assert emit_report(report, OutputFormat.TABLE) == "\n".join([
             "metric  recall  precision      f1",
             "muc     1.0000     1.0000  1.0000",
-            "",
-            "",
         ])
         assert emit_report(report, OutputFormat.CSV) == "\n".join([
             "metric,recall,precision,f1",
@@ -112,7 +113,7 @@ class TestStratifiedRendering:
             {"x": frozenset(range(10)), "s": frozenset({20})},
             named=frozenset({0}),
         )
-        return stratified_score(key, resp, StratumConfig(long_threshold=10))
+        return stratify_corpus([DocPair(key, resp)], StratumConfig(long_threshold=10))
 
     def test_csv_sections(self):
         lines = emit_report(self.report(), OutputFormat.CSV).splitlines()
@@ -145,7 +146,8 @@ class TestStratifiedRendering:
     def test_empty_report_renders_headers_only(self):
         key = Partition("d", [], Role.KEY)
         resp = Partition("d", [], Role.RESPONSE)
-        report = stratified_score(key, resp, StratumConfig())
+        with pytest.warns(UserWarning, match="require_named degraded"):
+            report = stratify_corpus([DocPair(key, resp)], StratumConfig())
         lines = emit_report(report, OutputFormat.CSV).splitlines()
         assert lines[0] == "stratum,metric,recall,precision,f1"
         assert lines[1] == ""
@@ -154,9 +156,13 @@ class TestStratifiedRendering:
         assert "stratum" in text.splitlines()[0]
 
     def test_empty_report_bytes(self):
-        key = Partition("d", [], Role.KEY)
-        resp = Partition("d", [], Role.RESPONSE)
-        report = stratified_score(key, resp, StratumConfig())
+        report = StratifiedReport(
+            per_stratum={},
+            singleton_detection=ScoreTriple(0.0, 0.0, 0.0),
+            leakage=0,
+            config=StratumConfig(),
+            spurious_mentions=0,
+        )
         assert emit_report(report, OutputFormat.TABLE) == "\n".join([
             "stratum  metric  recall  precision  f1",
             "",
@@ -199,7 +205,7 @@ class TestPathologyRendering:
         key, resp = helpers.build_pair(
             {"k": frozenset({1, 2, 3})}, {"r": frozenset({1, 2, 9})}
         )
-        return pathology(key, resp)
+        return pathology_corpus([DocPair(key, resp)])
 
     def test_table_layout(self):
         lines = emit_report(self.report(), OutputFormat.TABLE).splitlines()

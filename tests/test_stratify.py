@@ -5,6 +5,7 @@ import helpers
 import oracles
 from corefeval import (
     Chain,
+    DocPair,
     Mention,
     ModelError,
     Partition,
@@ -12,8 +13,8 @@ from corefeval import (
     Stratum,
     StratumConfig,
     project,
-    score_all,
-    stratified_score,
+    score_corpus,
+    stratify_corpus,
 )
 from corefeval.stratify import chain_strata
 
@@ -140,7 +141,8 @@ class TestSingletonDetection:
             {"a": frozenset({1, 2}), "s1": frozenset({5}), "s2": frozenset({6})},
             {"x": frozenset({1, 2}), "s1": frozenset({5}), "y": frozenset({6, 7})},
         )
-        triple = stratified_score(key, resp).singleton_detection
+        with pytest.warns(UserWarning, match="require_named degraded"):
+            triple = stratify_corpus([DocPair(key, resp)]).singleton_detection
         assert triple.recall == pytest.approx(0.5)
         assert triple.precision == 1.0
 
@@ -148,13 +150,16 @@ class TestSingletonDetection:
         key, resp = helpers.build_pair(
             {"a": frozenset({1, 2})}, {"x": frozenset({1, 2})}
         )
-        triple = stratified_score(key, resp).singleton_detection
+        with pytest.warns(UserWarning, match="require_named degraded"):
+            triple = stratify_corpus([DocPair(key, resp)]).singleton_detection
         assert (triple.recall, triple.precision, triple.f1) == (0.0, 0.0, 0.0)
 
     def test_identity_detection(self):
         labels = {"a": frozenset({1, 2}), "s": frozenset({3})}
         key, resp = helpers.build_pair(labels, labels)
-        assert stratified_score(key, resp).singleton_detection.f1 == 1.0
+        with pytest.warns(UserWarning, match="require_named degraded"):
+            report = stratify_corpus([DocPair(key, resp)])
+        assert report.singleton_detection.f1 == 1.0
 
 
 class TestLeakage:
@@ -163,20 +168,24 @@ class TestLeakage:
         key_labels = {"a": frozenset(range(12)), "s": frozenset({50})}
         resp_labels = {"x": frozenset(range(12)) | {50}}
         key, resp = helpers.build_pair(key_labels, resp_labels, named=named)
-        assert stratified_score(key, resp, StratumConfig()).leakage == 1
+        assert stratify_corpus([DocPair(key, resp)], StratumConfig()).leakage == 1
 
     def test_spurious_mentions_do_not_leak(self):
         key, resp = helpers.build_pair(
             {"a": frozenset({1, 2})}, {"x": frozenset({1, 2, 99})}
         )
-        assert stratified_score(key, resp, StratumConfig()).leakage == 0
+        with pytest.warns(UserWarning, match="require_named degraded"):
+            report = stratify_corpus([DocPair(key, resp)], StratumConfig())
+        assert report.leakage == 0
 
     def test_same_stratum_merge_does_not_leak(self):
         key, resp = helpers.build_pair(
             {"a": frozenset({1, 2}), "b": frozenset({3, 4})},
             {"x": frozenset({1, 2, 3, 4})},
         )
-        assert stratified_score(key, resp, StratumConfig()).leakage == 0
+        with pytest.warns(UserWarning, match="require_named degraded"):
+            report = stratify_corpus([DocPair(key, resp)], StratumConfig())
+        assert report.leakage == 0
 
 
 # A worked corpus slice: two major chains (12 and 10 mentions, each with
@@ -218,7 +227,7 @@ STRAT_LABELS = {
 class TestStratifiedScore:
     def report(self):
         key, resp = helpers.build_pair(STRAT_KEY, STRAT_RESP, named=STRAT_NAMED)
-        return stratified_score(key, resp, StratumConfig(long_threshold=10))
+        return stratify_corpus([DocPair(key, resp)], StratumConfig(long_threshold=10))
 
     def test_all_strata_present(self):
         assert set(self.report().per_stratum) == set(Stratum)
@@ -237,7 +246,7 @@ class TestStratifiedScore:
     def test_config_echoed(self):
         config = StratumConfig(long_threshold=10)
         key, resp = helpers.build_pair(STRAT_KEY, STRAT_RESP, named=STRAT_NAMED)
-        assert stratified_score(key, resp, config).config == config
+        assert stratify_corpus([DocPair(key, resp)], config).config == config
 
     def test_per_stratum_counts(self):
         report = self.report()
@@ -274,7 +283,7 @@ class TestStratifiedScore:
 
     def test_identity_scores_one_per_stratum(self):
         key, resp = helpers.build_pair(STRAT_KEY, STRAT_KEY, named=STRAT_NAMED)
-        report = stratified_score(key, resp, StratumConfig(long_threshold=10))
+        report = stratify_corpus([DocPair(key, resp)], StratumConfig(long_threshold=10))
         for stratum, stratum_report in report.per_stratum.items():
             for metric, triple in stratum_report.scores.items():
                 if stratum is Stratum.SINGLETON and metric.value == "muc":
@@ -287,8 +296,8 @@ class TestStratifiedScore:
 
     def test_metric_selection_respected(self):
         key, resp = helpers.build_pair(STRAT_KEY, STRAT_RESP, named=STRAT_NAMED)
-        report = stratified_score(
-            key, resp, StratumConfig(), metrics=["muc", "lea"]
+        report = stratify_corpus(
+            [DocPair(key, resp)], StratumConfig(), metrics=["muc", "lea"]
         )
         for stratum_report in report.per_stratum.values():
             assert {m.value for m in stratum_report.scores} == {"muc", "lea"}
@@ -296,7 +305,8 @@ class TestStratifiedScore:
     def test_empty_key_has_no_strata(self):
         key = Partition("d", [], Role.KEY)
         resp = helpers.build_partition({"r": frozenset({1, 2})}, Role.RESPONSE)
-        report = stratified_score(key, resp, StratumConfig())
+        with pytest.warns(UserWarning, match="require_named degraded"):
+            report = stratify_corpus([DocPair(key, resp)], StratumConfig())
         assert report.per_stratum == {}
         assert report.spurious_mentions == 2
         assert report.leakage == 0
@@ -306,10 +316,12 @@ class TestStratifiedScore:
         stratum is exactly the non-singleton key slice scored in place."""
         key, resp = helpers.build_pair(STRAT_KEY, STRAT_RESP, named=STRAT_NAMED)
         config = StratumConfig(long_threshold=2, require_named=False)
-        report = stratified_score(key, resp, config)
+        report = stratify_corpus([DocPair(key, resp)], config)
         nonsingleton = Partition(
             key.doc_id, [c for c in key.chains if not c.is_singleton], key.role
         )
-        expected = score_all(nonsingleton, project(resp, nonsingleton.mention_set))
+        expected = score_corpus(
+            [DocPair(nonsingleton, project(resp, nonsingleton.mention_set))]
+        )
         assert report.per_stratum[Stratum.MAJOR] == expected
         assert Stratum.SECONDARY not in report.per_stratum

@@ -13,7 +13,9 @@ from .corpus import (
     corpus_stats_report,
     load_corpus,
     pair_corpora,
+    pair_documents,
     pathology_corpus,
+    read_corpus,
     score_corpus,
     stratify_corpus,
 )
@@ -125,11 +127,13 @@ __all__ = [
     "muc",
     "optimal_alignment",
     "pair_corpora",
+    "pair_documents",
     "parse_conll",
     "parse_jsonl",
     "partition_tallies",
     "pathology_corpus",
     "project",
+    "read_corpus",
     "remove_spurious",
     "score_corpus",
     "stats_report",

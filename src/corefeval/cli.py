@@ -21,17 +21,17 @@ from typing import Optional, Sequence
 
 from .corpus import (
     Averaging,
-    corpus_stats_report,
-    load_corpus,
-    pair_corpora,
+    pair_documents,
     pathology_corpus,
+    read_corpus,
     score_corpus,
     stratify_corpus,
 )
 from .errors import CorefEvalError, DocMismatch
 from .metrics import ALL_METRICS, MetricId
-from .model import CorpusSource, Role, SourceFormat
+from .model import Role, SourceFormat
 from .reports import OutputFormat, emit_report
+from .stats import stats_report
 from .stratify import StratumConfig
 
 
@@ -142,41 +142,33 @@ def _infer_format(path: str) -> SourceFormat:
     )
 
 
-def _load(path: str, fmt: SourceFormat | str, role: Role) -> CorpusSource:
-    try:
-        return load_corpus(path, fmt, role)
-    except CorefEvalError as exc:
-        raise CorefEvalError(f"{path}: {exc}") from None
-
-
 def _execute(args: argparse.Namespace) -> str:
     # The library coerces the string flags to their enums; each command reads
     # only the flags its subparser defines, so every default lives there.
     # Every flag is checked before the first file is opened.
     key_format = args.format or _infer_format(args.key_path)
     if args.command == "stats":
-        key = _load(args.key_path, key_format, Role.KEY)
-        report = corpus_stats_report(key, args.exclude_singletons)
-        return emit_report(report, args.output)
+        key = read_corpus(args.key_path, key_format, Role.KEY)
+        return emit_report(stats_report(key, args.exclude_singletons), args.output)
     response_format = args.format or _infer_format(args.response_path)
     if args.command == "stratify":
         stratum_config = StratumConfig(args.long_threshold, args.require_named)
-    key = _load(args.key_path, key_format, Role.KEY)
-    response = _load(args.response_path, response_format, Role.RESPONSE)
+    pairs = pair_documents(
+        read_corpus(args.key_path, key_format, Role.KEY),
+        read_corpus(args.response_path, response_format, Role.RESPONSE),
+    )
     try:
-        pairs = pair_corpora(key, response)
+        if args.command == "score":
+            report = score_corpus(pairs, args.metrics, args.averaging)
+        elif args.command == "stratify":
+            report = stratify_corpus(
+                pairs, stratum_config, args.metrics, args.averaging
+            )
+        else:
+            report = pathology_corpus(pairs, args.metrics, args.averaging)
     except DocMismatch as exc:
-        raise CorefEvalError(
-            f"{args.key_path} and {args.response_path}: {exc}"
-        ) from None
-    if args.command == "score":
-        report = score_corpus(pairs, args.metrics, args.averaging)
-    elif args.command == "stratify":
-        report = stratify_corpus(
-            pairs, stratum_config, args.metrics, args.averaging
-        )
-    else:
-        report = pathology_corpus(pairs, args.metrics, args.averaging)
+        exc.args = (f"{args.key_path} and {args.response_path}: {exc}",)
+        raise
     return emit_report(report, args.output)
 
 

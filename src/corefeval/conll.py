@@ -87,8 +87,9 @@ def iter_conll(
                     + ", ".join(unclosed),
                     line=lineno,
                 )
-            yield doc.finish(role, index)
-            doc = None
+            # The builder and bracket stacks must not outlive the document.
+            document, doc, stacks = doc.finish(role, index), None, {}
+            yield document
         elif _BEGIN.fullmatch(line):
             raise ParseError(
                 f"#begin document inside document {doc.doc_id!r}", line=lineno

@@ -4,14 +4,19 @@ Key and response corpora are paired by doc_id; a document present on one
 side only, or with disagreeing token counts, raises DocMismatch rather
 than silently distorting scores, and so does a ``DocPair`` whose two
 sides name different documents, when ``metrics.overlap`` builds its table.
-Pairs are processed in sorted doc_id order, so float accumulation is
-reproducible run to run.
+
+Both sides are streamed: ``read_corpus`` parses a file one document at a
+time and ``pair_documents`` pairs each document as soon as its partner
+arrives, so memory holds the pair being scored, documents still waiting
+for a partner and small per-document counts (``pair_corpora`` and
+``load_corpus`` are the materialised forms).  Counts are reduced in
+sorted doc-id order, so float accumulation is reproducible run to run.
 
 Each document pair gets exactly one overlap table (``metrics.overlap``),
 built when the pair is reached and dropped once its counts are taken:
 ``score`` reads the metrics and tallies off it, ``stratify`` scores its
 per-stratum row projections and reads leakage, singleton detection and
-the spurious count off its cells (``stratify_corpus`` first degrades
+the spurious count off its cells (``stratify_corpus`` degrades
 require_named when no key mention in the corpus is named), and
 ``pathology`` scores it before and its projection onto every key row
 after spurious-mention removal.  No partition is rebuilt on any of these
@@ -32,15 +37,16 @@ reduced; this module keeps the reduction sequential and deterministic.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import warnings
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .conll import parse_conll
-from .errors import DocMismatch, ParseError
-from .jsonl import parse_jsonl
+from .conll import iter_conll
+from .errors import CorefEvalError, DocMismatch, ParseError
+from .jsonl import iter_jsonl
 from .metrics import (
     MetricCounts,
     MetricId,
@@ -59,6 +65,7 @@ from .metrics import (
 )
 from .model import (
     CorpusSource,
+    Document,
     Partition,
     Role,
     ScoreTriple,
@@ -96,40 +103,74 @@ class DocPair(NamedTuple):
     response: Partition
 
 
+def read_corpus(
+    path: str | Path, fmt: SourceFormat | str, role: Role | str
+) -> Iterator[tuple[Document, Partition]]:
+    """Stream one corpus file's documents; an error names ``path`` first."""
+    parse = iter_conll if SourceFormat(fmt) is SourceFormat.CONLL else iter_jsonl
+    try:
+        # utf-8-sig skips a leading byte-order mark, as editors on Windows write.
+        with open(path, encoding="utf-8-sig") as stream:
+            try:
+                yield from parse(stream, role)
+            except UnicodeDecodeError as exc:
+                line = _undecodable_line(path)
+                raise ParseError(f"invalid UTF-8 ({exc.reason})", line=line) from None
+    except CorefEvalError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def pair_documents(
+    key_docs: Iterable[tuple[Document, Partition]],
+    response_docs: Iterable[tuple[Document, Partition]],
+) -> Iterator[DocPair]:
+    """Pair the two sides by doc_id as they are read, one document from
+    each in turn; only a document still waiting for its partner is held.
+
+    Once both are read, unpaired ids raise DocMismatch, all of them named;
+    failing that, the smallest id whose token counts disagree does.
+    """
+    waiting: tuple[dict, dict] = ({}, {})
+    mismatch: Optional[DocMismatch] = None
+    for arrived in itertools.zip_longest(key_docs, response_docs):
+        for side, item in enumerate(arrived):
+            if item is None:
+                continue
+            doc_id = item[0].doc_id
+            if doc_id not in waiting[1 - side]:
+                waiting[side][doc_id] = item
+                continue
+            other = waiting[1 - side].pop(doc_id)
+            (key_doc, key), (resp_doc, resp) = (other, item) if side else (item, other)
+            if key_doc.num_tokens == resp_doc.num_tokens:
+                yield DocPair(key, resp)
+            elif mismatch is None or doc_id < mismatch.doc_id:
+                mismatch = DocMismatch(
+                    f"document {doc_id!r} has {key_doc.num_tokens} tokens in the key "
+                    f"but {resp_doc.num_tokens} in the response",
+                    doc_id=doc_id,
+                )
+    unpaired = [
+        f"only in {side}: " + ", ".join(sorted(ids))
+        for side, ids in zip(("key", "response"), waiting)
+        if ids
+    ]
+    if unpaired:
+        raise DocMismatch(
+            "unpaired documents (" + "; ".join(unpaired) + ")",
+            doc_id=min(waiting[0] or waiting[1]),
+        )
+    if mismatch is not None:
+        raise mismatch
+
+
 def pair_corpora(
     key_source: CorpusSource, response_source: CorpusSource
 ) -> tuple[DocPair, ...]:
     """Align two corpora by doc_id, sorted; loud failure on any mismatch."""
-    key_docs = {doc.doc_id: (doc, part) for doc, part in key_source.documents}
-    resp_docs = {doc.doc_id: (doc, part) for doc, part in response_source.documents}
-    key_only = sorted(key_docs.keys() - resp_docs.keys())
-    resp_only = sorted(resp_docs.keys() - key_docs.keys())
-    if key_only or resp_only:
-        parts = []
-        if key_only:
-            parts.append("only in key: " + ", ".join(key_only))
-        if resp_only:
-            parts.append("only in response: " + ", ".join(resp_only))
-        raise DocMismatch(
-            "unpaired documents (" + "; ".join(parts) + ")",
-            doc_id=(key_only + resp_only)[0],
-        )
-    pairs = []
-    for doc_id in sorted(key_docs):
-        key_doc, key_part = key_docs[doc_id]
-        resp_doc, resp_part = resp_docs[doc_id]
-        if key_doc.num_tokens != resp_doc.num_tokens:
-            raise DocMismatch(
-                f"document {doc_id!r} has {key_doc.num_tokens} tokens in the key "
-                f"but {resp_doc.num_tokens} in the response",
-                doc_id=doc_id,
-            )
-        pairs.append(DocPair(key_part, resp_part))
-    return tuple(pairs)
-
-
-def _sorted(pairs: Iterable[DocPair]) -> list[DocPair]:
-    return sorted(pairs, key=lambda p: p.key.doc_id)
+    pairs = pair_documents(key_source.documents, response_source.documents)
+    return tuple(sorted(pairs, key=lambda p: p.key.doc_id))
 
 
 DocCounts = tuple[dict[MetricId, MetricCounts], dict[str, int]]
@@ -157,9 +198,13 @@ def _average(
 
 
 def _reduce(
-    docs: Sequence[DocCounts], wanted: tuple[MetricId, ...], averaging: Averaging
+    entries: Iterable[tuple[str, DocCounts]],
+    wanted: tuple[MetricId, ...],
+    averaging: Averaging,
 ) -> MetricReport:
-    """One report from per-document counts; tallies always add up."""
+    """One report from (doc_id, counts) entries, taken in doc-id order (equal
+    ids keep their order); tallies always add up."""
+    docs = [counts for _, counts in sorted(entries, key=operator.itemgetter(0))]
     scores = {
         m: _average([counts[m] for counts, _ in docs], zero_counts(m), averaging)
         for m in wanted
@@ -175,7 +220,9 @@ def score_corpus(
 ) -> MetricReport:
     """One report for a whole corpus under the chosen averaging."""
     wanted = normalize_metrics(metrics)
-    docs = [_doc_counts(overlap(p.key, p.response), wanted) for p in _sorted(pairs)]
+    docs = [
+        (p.key.doc_id, _doc_counts(overlap(p.key, p.response), wanted)) for p in pairs
+    ]
     return _reduce(docs, wanted, Averaging(averaging))
 
 
@@ -189,35 +236,53 @@ def stratify_corpus(
     and macro averages each stratum over the documents that have it.  With
     no named key mention in the corpus, require_named degrades, with a
     warning, and the report's ``config`` says so."""
-    pairs = _sorted(pairs)
-    if config.require_named and not any(p.key.named for p in pairs):
+    wanted = normalize_metrics(metrics)
+    averaging = Averaging(averaging)
+    # Until a named key span turns up, label as if require_named degraded; a
+    # document with a major chain keeps its secondary table and extra leakage
+    # under ``config``, scored if a named span turns up and dropped if not.
+    named = not config.require_named
+    labelling = config._replace(require_named=False)
+    pending: list[tuple[dict[Stratum, DocCounts], Overlap, int]] = []
+    docs: list[tuple[str, dict[Stratum, DocCounts], PRCounts]] = []
+    leakage = spurious = 0
+    for p in pairs:
+        if not named and p.key.named:
+            named, labelling = True, config
+            for counts, secondary, extra_leakage in pending:
+                del counts[Stratum.MAJOR]
+                counts[Stratum.SECONDARY] = _doc_counts(secondary, wanted)
+                leakage += extra_leakage
+            pending = []
+        t = overlap(p.key, p.response)
+        labels = chain_strata(p.key, labelling)
+        counts = {s: _doc_counts(u, wanted) for s, u in stratum_tables(t, labels).items()}
+        doc_leakage = table_leakage(t, labels)
+        if not named and Stratum.MAJOR in labels:
+            strict = chain_strata(p.key, config)
+            secondary = stratum_tables(t, strict)[Stratum.SECONDARY]
+            pending.append((counts, secondary, table_leakage(t, strict) - doc_leakage))
+        docs.append((p.key.doc_id, counts, table_singleton_detection(t)))
+        leakage += doc_leakage
+        spurious += t.spurious()
+    if not named:
         warnings.warn(
             "no key mention carries is_named; require_named degraded to false "
             "for this corpus",
             UserWarning,
             stacklevel=2,
         )
-        config = config._replace(require_named=False)
-    wanted = normalize_metrics(metrics)
-    averaging = Averaging(averaging)
-    strata: dict[Stratum, list[DocCounts]] = {}
-    detection = []
-    leakage = spurious = 0
-    for p in pairs:
-        t = overlap(p.key, p.response)
-        labels = chain_strata(p.key, config)
-        for stratum, projected in stratum_tables(t, labels).items():
-            strata.setdefault(stratum, []).append(_doc_counts(projected, wanted))
-        detection.append(table_singleton_detection(t))
-        leakage += table_leakage(t, labels)
-        spurious += t.spurious()
+    docs.sort(key=operator.itemgetter(0))
+    per_stratum = {}
+    for s in Stratum:
+        entries = [(doc_id, counts[s]) for doc_id, counts, _ in docs if s in counts]
+        if entries:
+            per_stratum[s] = _reduce(entries, wanted, averaging)
     return StratifiedReport(
-        per_stratum={
-            s: _reduce(strata[s], wanted, averaging) for s in Stratum if s in strata
-        },
-        singleton_detection=_average(detection, PRCounts(), averaging),
+        per_stratum=per_stratum,
+        singleton_detection=_average([d for *_, d in docs], PRCounts(), averaging),
         leakage=leakage,
-        config=config,
+        config=labelling,
         spurious_mentions=spurious,
     )
 
@@ -236,10 +301,11 @@ def pathology_corpus(
     wanted = normalize_metrics(metrics)
     averaging = Averaging(averaging)
     docs_before, docs_after = [], []
-    for p in _sorted(pairs):
+    for p in pairs:
         t = overlap(p.key, p.response)
-        docs_before.append(_doc_counts(t, wanted))
-        docs_after.append(_doc_counts(t.project(range(len(t.rows))), wanted))
+        docs_before.append((p.key.doc_id, _doc_counts(t, wanted)))
+        t = t.project(range(len(t.rows)))
+        docs_after.append((p.key.doc_id, _doc_counts(t, wanted)))
     before = _reduce(docs_before, wanted, averaging)
     after = _reduce(docs_after, wanted, averaging)
     return PathologyReport(
@@ -257,14 +323,7 @@ def load_corpus(
     path: str | Path, fmt: SourceFormat | str, role: Role | str
 ) -> CorpusSource:
     """Read and parse one corpus file in the given format."""
-    parse = parse_conll if SourceFormat(fmt) is SourceFormat.CONLL else parse_jsonl
-    # utf-8-sig skips a leading byte-order mark, as editors on Windows write.
-    with open(path, encoding="utf-8-sig") as stream:
-        try:
-            return parse(stream, role)
-        except UnicodeDecodeError as exc:
-            line = _undecodable_line(path)
-            raise ParseError(f"invalid UTF-8 ({exc.reason})", line=line) from None
+    return CorpusSource.of_checked(SourceFormat(fmt), read_corpus(path, fmt, role))
 
 
 def _undecodable_line(path: str | Path) -> Optional[int]:

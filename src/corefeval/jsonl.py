@@ -38,8 +38,15 @@ def _field(record: dict, name: str, kind: type, lineno: int):
 
 
 def _parse_record(
-    record: dict, role: Role, lineno: int, seen: set[str]
+    raw: str, role: Role, lineno: int, seen: set[str]
 ) -> tuple[Document, Partition]:
+    try:
+        record = json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        # The decoder recurses once per nesting level.
+        raise ParseError(f"invalid JSON: {exc}", line=lineno) from None
+    if not isinstance(record, dict):
+        raise SchemaError("each record must be an object", line=lineno)
     doc_id = _field(record, "doc_id", str, lineno)
     num_tokens = _field(record, "num_tokens", int, lineno)
     raw_chains = _field(record, "chains", list, lineno)
@@ -73,17 +80,13 @@ def iter_jsonl(
     """Yield one (Document, Partition) per JSON record; blank lines skipped."""
     role = Role(role)
     seen: set[str] = set()
-    for lineno, raw in enumerate(lines, 1):
-        if not raw.strip():
-            continue
-        try:
-            record = json.loads(raw)
-        except (ValueError, RecursionError) as exc:
-            # The decoder recurses once per nesting level.
-            raise ParseError(f"invalid JSON: {exc}", line=lineno) from None
-        if not isinstance(record, dict):
-            raise SchemaError("each record must be an object", line=lineno)
-        yield _parse_record(record, role, lineno, seen)
+    lineno = 0
+    for raw in lines:  # not enumerate: its reused result tuple keeps the last line
+        lineno += 1
+        if raw.strip():
+            # Neither the line nor its decoded record outlives the yield.
+            document, raw = _parse_record(raw, role, lineno, seen), None
+            yield document
 
 
 def parse_jsonl(lines: Iterable[str], role: Role | str = Role.KEY) -> CorpusSource:

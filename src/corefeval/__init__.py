@@ -11,7 +11,6 @@ from .corpus import (
     Averaging,
     DocPair,
     corpus_stats_report,
-    load_corpus,
     pair_corpora,
     pair_documents,
     pathology_corpus,
@@ -122,7 +121,6 @@ __all__ = [
     "iter_conll",
     "iter_jsonl",
     "lea",
-    "load_corpus",
     "metric_counts",
     "muc",
     "optimal_alignment",

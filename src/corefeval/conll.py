@@ -87,9 +87,10 @@ def iter_conll(
                     + ", ".join(unclosed),
                     line=lineno,
                 )
-            # The builder and bracket stacks must not outlive the document.
-            document, doc, stacks = doc.finish(role, index), None, {}
-            yield document
+            # Neither the builder and bracket stacks nor the document stay
+            # referenced while the generator waits at its yield.
+            finished, doc, stacks = [doc.finish(role, index)], None, {}
+            yield finished.pop()
         elif _BEGIN.fullmatch(line):
             raise ParseError(
                 f"#begin document inside document {doc.doc_id!r}", line=lineno

@@ -8,9 +8,8 @@ sides name different documents, when ``metrics.overlap`` builds its table.
 Both sides are streamed: ``read_corpus`` parses a file one document at a
 time and ``pair_documents`` pairs each document as soon as its partner
 arrives, so memory holds the pair being scored, documents still waiting
-for a partner and small per-document counts (``pair_corpora`` and
-``load_corpus`` are the materialised forms).  Counts are reduced in
-sorted doc-id order, so float accumulation is reproducible run to run.
+for a partner and small per-document counts, but no pair already scored
+(``pair_corpora`` is the materialised form).
 
 Each document pair gets exactly one overlap table (``metrics.overlap``),
 built when the pair is reached and dropped once its counts are taken:
@@ -22,22 +21,22 @@ require_named when no key mention in the corpus is named), and
 after spurious-mention removal.  No partition is rebuilt on any of these
 paths.
 
-Micro averaging sums each metric's numerators and denominators across
-documents before dividing; macro averaging takes the component-wise
-arithmetic mean of per-document triples (F1 is averaged directly, not
-recomputed from the averaged recall and precision).  Both averagings go
-through one reducer, for whole reports and for each stratum alike.
-To score one document, pass a corpus of one pair,
-``[DocPair(key, response)]``, to ``score_corpus``, ``stratify_corpus`` or
-``pathology_corpus``; the require_named degrade then reads that document.
-Scoring functions are pure, so documents could be scored concurrently and
-reduced; this module keeps the reduction sequential and deterministic.
+Counts are kept as one record per document, ``(doc_id, {label: counts})``,
+and one reduction sorts the records by doc id, so floats add in one order
+whatever the order of the pairs, then reduces each label (``score``;
+``before`` and ``after``; each stratum present) over the documents that
+have it.  Micro averaging sums each metric's numerators and denominators
+before dividing; macro averaging takes the component-wise mean of
+per-document triples (F1 is averaged directly, not recomputed from the
+averaged recall and precision).  To score one document, pass a corpus of
+one pair, ``[DocPair(key, response)]``, to ``score_corpus``,
+``stratify_corpus`` or ``pathology_corpus``; the require_named degrade
+then reads that document.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import warnings
 from enum import Enum
@@ -133,9 +132,13 @@ def pair_documents(
     """
     waiting: tuple[dict, dict] = ({}, {})
     mismatch: Optional[DocMismatch] = None
-    for arrived in itertools.zip_longest(key_docs, response_docs):
-        for side, item in enumerate(arrived):
+    # Not zip_longest: its reused result tuple keeps the last pair referenced.
+    streams = {0: iter(key_docs), 1: iter(response_docs)}
+    while streams:
+        for side in list(streams):
+            item = next(streams[side], None)
             if item is None:
+                del streams[side]
                 continue
             doc_id = item[0].doc_id
             if doc_id not in waiting[1 - side]:
@@ -151,6 +154,7 @@ def pair_documents(
                     f"but {resp_doc.num_tokens} in the response",
                     doc_id=doc_id,
                 )
+            del item, other, key_doc, key, resp_doc, resp
     unpaired = [
         f"only in {side}: " + ", ".join(sorted(ids))
         for side, ids in zip(("key", "response"), waiting)
@@ -189,28 +193,28 @@ def _average(
     if not counts:
         return ZERO_TRIPLE
     triples = [c.triple() for c in counts]
-    n = len(triples)
-    return ScoreTriple(
-        sum(t.recall for t in triples) / n,
-        sum(t.precision for t in triples) / n,
-        sum(t.f1 for t in triples) / n,
-    )
+    return ScoreTriple(*(sum(column) / len(triples) for column in zip(*triples)))
 
 
 def _reduce(
-    entries: Iterable[tuple[str, DocCounts]],
-    wanted: tuple[MetricId, ...],
-    averaging: Averaging,
-) -> MetricReport:
-    """One report from (doc_id, counts) entries, taken in doc-id order (equal
-    ids keep their order); tallies always add up."""
-    docs = [counts for _, counts in sorted(entries, key=operator.itemgetter(0))]
-    scores = {
-        m: _average([counts[m] for counts, _ in docs], zero_counts(m), averaging)
-        for m in wanted
-    }
-    tallies = {k: sum(t[k] for _, t in docs) for k in TALLY_KEYS}
-    return MetricReport(scores, _conll_avg(scores), tallies)
+    docs: list[tuple], labels: Iterable, wanted: tuple[MetricId, ...], averaging: Averaging
+) -> dict:
+    """One report per label from per-document records ``(doc_id, {label:
+    counts}, ...)``, each label over the documents that have it; tallies
+    always add up.  The records are sorted in place by doc id (equal ids keep
+    their order), so every float, here and in the caller's own averages
+    over them, adds in the same order on every run."""
+    docs.sort(key=operator.itemgetter(0))
+    reports = {}
+    for label in labels:
+        counts = [doc[1][label] for doc in docs if label in doc[1]]
+        scores = {
+            m: _average([c[m] for c, _ in counts], zero_counts(m), averaging)
+            for m in wanted
+        }
+        tallies = {k: sum(t[k] for _, t in counts) for k in TALLY_KEYS}
+        reports[label] = MetricReport(scores, _conll_avg(scores), tallies)
+    return reports
 
 
 def score_corpus(
@@ -220,10 +224,11 @@ def score_corpus(
 ) -> MetricReport:
     """One report for a whole corpus under the chosen averaging."""
     wanted = normalize_metrics(metrics)
-    docs = [
-        (p.key.doc_id, _doc_counts(overlap(p.key, p.response), wanted)) for p in pairs
-    ]
-    return _reduce(docs, wanted, Averaging(averaging))
+    docs = []
+    for p in pairs:
+        docs.append((p.key.doc_id, {"score": _doc_counts(overlap(*p), wanted)}))
+        del p  # not held while the next pair is read
+    return _reduce(docs, ["score"], wanted, Averaging(averaging))["score"]
 
 
 def stratify_corpus(
@@ -265,6 +270,7 @@ def stratify_corpus(
         docs.append((p.key.doc_id, counts, table_singleton_detection(t)))
         leakage += doc_leakage
         spurious += t.spurious()
+        del p, t  # not held while the next pair is read
     if not named:
         warnings.warn(
             "no key mention carries is_named; require_named degraded to false "
@@ -272,14 +278,9 @@ def stratify_corpus(
             UserWarning,
             stacklevel=2,
         )
-    docs.sort(key=operator.itemgetter(0))
-    per_stratum = {}
-    for s in Stratum:
-        entries = [(doc_id, counts[s]) for doc_id, counts, _ in docs if s in counts]
-        if entries:
-            per_stratum[s] = _reduce(entries, wanted, averaging)
+    present = [s for s in Stratum if any(s in doc[1] for doc in docs)]
     return StratifiedReport(
-        per_stratum=per_stratum,
+        per_stratum=_reduce(docs, present, wanted, averaging),
         singleton_detection=_average([d for *_, d in docs], PRCounts(), averaging),
         leakage=leakage,
         config=labelling,
@@ -300,14 +301,14 @@ def pathology_corpus(
     """
     wanted = normalize_metrics(metrics)
     averaging = Averaging(averaging)
-    docs_before, docs_after = [], []
+    docs = []
     for p in pairs:
         t = overlap(p.key, p.response)
-        docs_before.append((p.key.doc_id, _doc_counts(t, wanted)))
+        before = _doc_counts(t, wanted)
         t = t.project(range(len(t.rows)))
-        docs_after.append((p.key.doc_id, _doc_counts(t, wanted)))
-    before = _reduce(docs_before, wanted, averaging)
-    after = _reduce(docs_after, wanted, averaging)
+        docs.append((p.key.doc_id, {"before": before, "after": _doc_counts(t, wanted)}))
+        del p, t  # not held while the next pair is read
+    before, after = _reduce(docs, ["before", "after"], wanted, averaging).values()
     return PathologyReport(
         before, after, recall_deltas(before, after), before.counts["response_spurious"]
     )
@@ -317,13 +318,6 @@ def corpus_stats_report(
     source: CorpusSource, exclude_singletons: bool = False
 ) -> StatsReport:
     return stats_report(source.documents, exclude_singletons)
-
-
-def load_corpus(
-    path: str | Path, fmt: SourceFormat | str, role: Role | str
-) -> CorpusSource:
-    """Read and parse one corpus file in the given format."""
-    return CorpusSource.of_checked(SourceFormat(fmt), read_corpus(path, fmt, role))
 
 
 def _undecodable_line(path: str | Path) -> Optional[int]:

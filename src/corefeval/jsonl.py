@@ -17,8 +17,10 @@ document's ``DocumentBuilder``, which checks it; no ``Mention`` is built.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Optional
 
 from .errors import ParseError, SchemaError
 from .model import CorpusSource, Document, DocumentBuilder, Partition, Role, SourceFormat
@@ -38,8 +40,10 @@ def _field(record: dict, name: str, kind: type, lineno: int):
 
 
 def _parse_record(
-    raw: str, role: Role, lineno: int, seen: set[str]
-) -> tuple[Document, Partition]:
+    raw: str, lineno: int, role: Role, seen: set[str]
+) -> Optional[tuple[Document, Partition]]:
+    if not raw.strip():
+        return None
     try:
         record = json.loads(raw)
     except (ValueError, RecursionError) as exc:
@@ -78,15 +82,10 @@ def iter_jsonl(
     lines: Iterable[str], role: Role | str = Role.KEY
 ) -> Iterator[tuple[Document, Partition]]:
     """Yield one (Document, Partition) per JSON record; blank lines skipped."""
-    role = Role(role)
-    seen: set[str] = set()
-    lineno = 0
-    for raw in lines:  # not enumerate: its reused result tuple keeps the last line
-        lineno += 1
-        if raw.strip():
-            # Neither the line nor its decoded record outlives the yield.
-            document, raw = _parse_record(raw, role, lineno, seen), None
-            yield document
+    parse = functools.partial(_parse_record, role=Role(role), seen=set())
+    # Unlike a loop variable, map and filter keep no line, record or document
+    # once it is passed on, so none is held while the next one is parsed.
+    yield from filter(None, map(parse, lines, itertools.count(1)))
 
 
 def parse_jsonl(lines: Iterable[str], role: Role | str = Role.KEY) -> CorpusSource:

@@ -43,6 +43,7 @@ def compute_stats(docs: Iterable[tuple[Document, Partition]]) -> CorpusStats:
     for doc, part in docs:
         num_tokens += doc.num_tokens
         histogram.update(map(len, part.spans))
+        del doc, part  # not held while the next document is read
     num_singletons = histogram.get(1, 0)
     total_chains = sum(histogram.values())
     num_nonsingleton = total_chains - num_singletons

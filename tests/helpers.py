@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from corefeval import (
     Chain,
+    DocPair,
     Document,
     Mention,
     Partition,
@@ -183,6 +184,18 @@ def label_instances(draw, max_mentions: int = 10, max_chains: int = 5):
         cid = f"r{target}"
         resp[cid] = resp.get(cid, frozenset()) | {1000 + extra}
     return key, resp
+
+
+@st.composite
+def corpora(draw):
+    """1-3 documents of random key/response pairs, some with named mentions."""
+    pairs = []
+    for d in range(draw(st.integers(1, 3))):
+        key, resp = draw(label_instances(max_mentions=14, max_chains=6))
+        named = draw(st.frozensets(st.integers(0, 13), max_size=4))
+        pairs.append(DocPair(*build_pair(key, resp, f"d{d}", named)))
+    config = StratumConfig(draw(st.integers(2, 5)), draw(st.booleans()))
+    return pairs, config
 
 
 @st.composite

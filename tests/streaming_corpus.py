@@ -1,7 +1,7 @@
 """A small generated corpus for the streaming tests.
 
-Document ``d`` has 40 key chains of one-token mentions, sized
-``1 + (c + d) % 12`` (so some reach the default major threshold of 10).
+Document ``d`` has 40 key chains (or ``n_chains``) of one-token mentions,
+sized ``1 + (c + d) % 12`` (so some reach the default major threshold of 10).
 The response drops every seventh mention, moves every fifth into the
 next chain and adds three spurious mentions in two chains.  The text is
 built from integer arithmetic only, so it is the same on every platform.
@@ -13,10 +13,10 @@ import json
 from typing import Iterable, Optional
 
 
-def chains_of(d: int, side: str) -> tuple[list[list[int]], int]:
+def chains_of(d: int, side: str, n_chains: int = 40) -> tuple[list[list[int]], int]:
     """The token of every mention, per chain, and the document's length."""
     chains, token = [], 0
-    for c in range(40):
+    for c in range(n_chains):
         size = 1 + (c + d) % 12
         chains.append(list(range(token, token + size)))
         token += size
@@ -37,6 +37,7 @@ def corpus_text(
     docs: Iterable[int],
     named: Optional[int] = None,
     extra_tokens: Optional[dict[int, int]] = None,
+    n_chains: int = 40,
 ) -> str:
     """Documents ``doc<d>`` in the order given, in jsonl or CoNLL.
 
@@ -47,7 +48,7 @@ def corpus_text(
     extra_tokens = extra_tokens or {}
     out = []
     for d in docs:
-        chains, n = chains_of(d, side)
+        chains, n = chains_of(d, side, n_chains)
         n += extra_tokens.get(d, 0)
         flagged = (named, (11 - d) % 12, 0) if side == "key" else None
         if fmt == "jsonl":

@@ -31,11 +31,11 @@ from corefeval import (
     StratumConfig,
     ceaf,
     emit_jsonl,
-    load_corpus,
     muc,
-    pair_corpora,
+    pair_documents,
     parse_jsonl,
     pathology_corpus,
+    read_corpus,
     remove_spurious,
     score_corpus,
     stratify_corpus,
@@ -157,13 +157,13 @@ def test_criterion_4_spurious_mention_recall(fixtures_dir):
         assert muc(key, resp).recall == muc(key, cleaned).recall
     assert time.perf_counter() - start < 10.0
 
-    key_corpus = load_corpus(
+    key_docs = read_corpus(
         fixtures_dir / "pathology_key.jsonl", SourceFormat.JSONL, Role.KEY
     )
-    resp_corpus = load_corpus(
+    resp_docs = read_corpus(
         fixtures_dir / "pathology_response.jsonl", SourceFormat.JSONL, Role.RESPONSE
     )
-    report = pathology_corpus(pair_corpora(key_corpus, resp_corpus))
+    report = pathology_corpus(pair_documents(key_docs, resp_docs))
     assert report.removed_mentions > 0
     assert report.recall_deltas[MetricId.MUC] == 0.0
     assert report.recall_deltas[MetricId.CEAF_E] != 0.0

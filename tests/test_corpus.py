@@ -2,11 +2,13 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import helpers
 import oracles
 from corefeval import (
     Averaging,
+    CorpusSource,
     DocMismatch,
     DocPair,
     MetricId,
@@ -15,12 +17,14 @@ from corefeval import (
     Stratum,
     StratumConfig,
     corpus_stats_report,
-    load_corpus,
     pair_corpora,
+    pair_documents,
     pathology_corpus,
+    read_corpus,
     score_corpus,
     stratify_corpus,
 )
+from corefeval.conll import parse_conll
 from corefeval.jsonl import parse_jsonl
 from corefeval.metrics import metric_counts, zero_counts
 
@@ -168,6 +172,32 @@ def test_pair_of_two_documents_is_rejected(run):
     assert exc.value.doc_id == "a"
 
 
+@given(helpers.corpora(), st.data())
+def test_reports_do_not_depend_on_the_order_of_pairs(corpus, data):
+    """Pairs in any order, and each side's documents in any order through
+    pair_documents, give the report of doc-id order, floats bit for bit."""
+    pairs, config = corpus
+    pairs = sorted(pairs, key=lambda p: p.key.doc_id)
+    shuffled = data.draw(st.permutations(pairs))
+    key_docs, response_docs = (
+        [(helpers.doc_for(p.key), p[side]) for p in data.draw(st.permutations(pairs))]
+        for side in (0, 1)
+    )
+    runs = [
+        lambda pairs, averaging: score_corpus(pairs, averaging=averaging),
+        lambda pairs, averaging: stratify_corpus(pairs, config, averaging=averaging),
+        lambda pairs, averaging: pathology_corpus(pairs, averaging=averaging),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for averaging in Averaging:
+            for run in runs:
+                expected = run(pairs, averaging)
+                assert run(shuffled, averaging) == expected
+                streamed = pair_documents(key_docs, response_docs)
+                assert run(streamed, averaging) == expected
+
+
 class TestEffectiveConfig:
     def test_unnamed_corpus_degrades_with_warning(self):
         pairs = two_doc_pairs()
@@ -256,13 +286,13 @@ class TestStratifyCorpus:
 
 class TestPathologyCorpus:
     def load_pairs(self, fixtures_dir):
-        key = load_corpus(
+        key = read_corpus(
             fixtures_dir / "pathology_key.jsonl", SourceFormat.JSONL, Role.KEY
         )
-        resp = load_corpus(
+        resp = read_corpus(
             fixtures_dir / "pathology_response.jsonl", "jsonl", Role.RESPONSE
         )
-        return pair_corpora(key, resp)
+        return pair_documents(key, resp)
 
     def test_fixture_recall_movements(self, fixtures_dir):
         """Corpus where deleting spurious response mentions moves recall
@@ -304,25 +334,30 @@ class TestPathologyCorpus:
 
 class TestLoading:
     def test_load_jsonl(self, fixtures_dir):
-        source = load_corpus(
-            fixtures_dir / "derived_key.jsonl", SourceFormat.JSONL, Role.KEY
-        )
+        path = fixtures_dir / "derived_key.jsonl"
+        source = parse_jsonl(path.read_text(encoding="utf-8").splitlines(), Role.KEY)
         assert source.format is SourceFormat.JSONL
         assert len(source) == 1
         assert source.documents[0][1].role is Role.KEY
+        documents = list(read_corpus(path, SourceFormat.JSONL, Role.KEY))
+        assert len(documents) == 1
+        assert documents[0][1].role is Role.KEY
+        assert CorpusSource("jsonl", documents) == source
 
     def test_load_conll(self, tmp_path):
         path = tmp_path / "corpus.conll"
         path.write_text(
             "#begin document d\nw\t(0\nw\t0)\n#end document\n", encoding="utf-8"
         )
-        source = load_corpus(path, "conll", Role.RESPONSE)
+        source = parse_conll(path.read_text(encoding="utf-8").splitlines(), "response")
         assert source.format is SourceFormat.CONLL
         assert source.documents[0][1].role is Role.RESPONSE
+        [(_, partition)] = read_corpus(path, "conll", Role.RESPONSE)
+        assert partition.role is Role.RESPONSE
 
     def test_unknown_format_rejected(self, fixtures_dir):
         with pytest.raises(ValueError):
-            load_corpus(fixtures_dir / "derived_key.jsonl", "xml", Role.KEY)
+            next(read_corpus(fixtures_dir / "derived_key.jsonl", "xml", Role.KEY))
 
     def test_corpus_stats_report_forwards_flag(self, fixtures_dir):
         text = (fixtures_dir / "pathology_key.jsonl").read_text()

@@ -2,7 +2,7 @@
 
 Two properties hold for both formats, on arbitrary bytes and on fixture
 files whose lines are truncated, duplicated or have a byte flipped:
-- only ``CorefEvalError`` escapes ``load_corpus``;
+- only ``CorefEvalError`` escapes ``read_corpus``;
 - the CLI's ``stats`` and ``score`` exit 0 or 1, never 2 (an internal
   fault).
 
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corefeval import CorefEvalError, Role, load_corpus
+from corefeval import CorefEvalError, Role, read_corpus
 from corefeval.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -70,7 +70,7 @@ def check(workdir: pathlib.Path, fmt: str, data: bytes) -> None:
     path = workdir / f"input.{fmt}"
     path.write_bytes(data)
     try:
-        load_corpus(path, fmt, Role.KEY)
+        list(read_corpus(path, fmt, Role.KEY))
     except CorefEvalError:
         pass
     response = str(FIXTURES / RESPONSE[fmt])

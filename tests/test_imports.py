@@ -60,3 +60,10 @@ def test_submodule_is_the_package_attribute(module):
     attribute = getattr(corefeval, name)
     assert isinstance(attribute, types.ModuleType)
     assert importlib.import_module(f"corefeval.{name}") is attribute
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_source_parses_as_the_oldest_supported_python(module):
+    """pyproject.toml declares ``requires-python = ">=3.10"``."""
+    source = (SRC / module).read_text(encoding="utf-8")
+    ast.parse(source, module, feature_version=(3, 10))

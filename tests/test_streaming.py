@@ -1,5 +1,6 @@
 """Streaming: readers drop each document's working state, the two sides are
-paired as they are read, and memory does not grow with the corpus.
+paired as they are read, and memory does not grow with the corpus: no
+document stays referenced while the next one is parsed.
 
 ``fixtures/expected/streaming.json`` pins stdout, stderr and exit status
 of the runs in ``streaming_corpus.recorded_runs``; they were recorded
@@ -9,6 +10,7 @@ them (``{key}`` and ``{response}`` stand for the two paths).
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import tracemalloc
@@ -17,9 +19,22 @@ import pytest
 
 import corefeval.cli as cli
 import corefeval.corpus as corpus_mod
-from corefeval import CorpusSource, Role, Stratum, StratumConfig, iter_conll, iter_jsonl
+from corefeval import (
+    CorpusSource,
+    Document,
+    Partition,
+    Role,
+    Stratum,
+    StratumConfig,
+    iter_conll,
+    iter_jsonl,
+    pathology_corpus,
+    score_corpus,
+    stats_report,
+    stratify_corpus,
+)
 from corefeval.cli import main
-from corefeval.corpus import load_corpus, pair_corpora
+from corefeval.corpus import pair_documents, read_corpus
 from corefeval.metrics import overlap
 from corefeval.model import DocumentBuilder
 from corefeval.stratify import chain_strata, stratum_tables
@@ -64,6 +79,8 @@ def test_reader_keeps_no_working_state_across_its_yield(reader, text):
     # A decoded jsonl record is a dict; CoNLL's bracket stacks are one too.
     assert not any(isinstance(value, dict) and value for value in held)
     assert not any(isinstance(value, str) and "doc0" in value for value in held)
+    # Nor the document itself, which the caller may already have dropped.
+    assert not any(isinstance(value, (tuple, Document, Partition)) for value in held)
 
 
 def _write(tmp_path, fmt, key_text, response_text):
@@ -159,14 +176,13 @@ def test_no_command_materialises_a_corpus(fmt, command, tmp_path, monkeypatch, c
     assert built == []
 
 
-def _peak(argv, capsys) -> int:
+def _peak(run, *args) -> tuple[object, int]:
+    """What ``run(*args)`` returns, and the peak of memory traced meanwhile."""
     tracemalloc.start()
     try:
-        assert main(argv) == 0
-        return tracemalloc.get_traced_memory()[1]
+        return run(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        capsys.readouterr()
 
 
 # Per extra document: its counts, and for stats its rank-size entries and
@@ -195,8 +211,63 @@ def test_peak_memory_does_not_grow_with_the_parsed_corpus(command, tmp_path, cap
             argv += ["--response", str(response)]
         if copies == 1:
             main(argv)  # first-call caches are not part of the comparison
-        peaks[copies] = _peak(argv, capsys)
+        rc, peaks[copies] = _peak(main, argv)
+        capsys.readouterr()
+        assert rc == 0
     assert peaks[8] - peaks[1] <= 28 * ALLOWANCE_PER_DOC, peaks
+
+
+LIBRARY_RUNS = {
+    "score": score_corpus,
+    "stratify": stratify_corpus,
+    "pathology": pathology_corpus,
+}
+
+
+def _library_run(command, key, response):
+    """The report a command prints, from the library calls it makes."""
+    key_docs = read_corpus(key, "jsonl", Role.KEY)
+    if command == "stats":
+        return stats_report(key_docs)
+    response_docs = read_corpus(response, "jsonl", Role.RESPONSE)
+    return LIBRARY_RUNS[command](pair_documents(key_docs, response_docs))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_previous_document_is_dropped_before_the_next_is_parsed(command, tmp_path):
+    """Two copies of one long document peak within 10% of one copy.  Were
+    the first copy still referenced while the second is parsed, by a
+    reader, by the pairing or by a scoring loop, two copies would peak
+    near the sum of both (about 1.5 times one copy)."""
+    key, response = (
+        corpus_text("jsonl", side, [0], named=0, n_chains=600)
+        for side in ("key", "response")
+    )
+    paths = {}
+    for copies, texts in (
+        (1, (key, response)),
+        (2, (text + text.replace('"doc0"', '"doc0-copy"') for text in (key, response))),
+    ):
+        folder = tmp_path / str(copies)
+        folder.mkdir()
+        paths[copies] = _write(folder, "jsonl", *texts)
+    # Two effects of the interpreter, not of any document, are kept out of
+    # the comparison.  Chain ids are interned (``Partition``), so the parsed
+    # documents are kept: their ids stay in the table of interned strings,
+    # which otherwise may grow by a step during one measured run and not the
+    # other.  A full collection empties the free lists, whose blocks
+    # tracemalloc counts as held until they are reused.
+    kept = [
+        list(read_corpus(path, "jsonl", role))
+        for path, role in zip(paths[1], (Role.KEY, Role.RESPONSE))
+    ]
+    _library_run(command, *paths[1])  # first-call caches are not compared
+    peaks = {}
+    for copies in paths:
+        gc.collect()
+        peaks[copies] = _peak(_library_run, command, *paths[copies])[1]
+    del kept
+    assert peaks[2] <= 1.1 * peaks[1], peaks
 
 
 def test_unnamed_conll_never_scores_a_non_degraded_table(tmp_path, monkeypatch, capsys):
@@ -210,8 +281,11 @@ def test_unnamed_conll_never_scores_a_non_degraded_table(tmp_path, monkeypatch, 
         corpus_text("conll", "response", docs),
     )
     degraded = StratumConfig(require_named=False)
-    pairs = pair_corpora(
-        load_corpus(key, "conll", Role.KEY), load_corpus(response, "conll", Role.RESPONSE)
+    pairs = list(
+        pair_documents(
+            read_corpus(key, "conll", Role.KEY),
+            read_corpus(response, "conll", Role.RESPONSE),
+        )
     )
     labels = [chain_strata(p.key, degraded) for p in pairs]
     assert any(Stratum.MAJOR in doc for doc in labels)

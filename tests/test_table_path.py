@@ -12,7 +12,7 @@ The MUC, B3, LEA and BLANC counts of one cell walk must equal, with
 
 import warnings
 
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 import helpers
 import reference
@@ -22,7 +22,6 @@ from corefeval import (
     DocPair,
     MetricId,
     Stratum,
-    StratumConfig,
     partition_tallies,
     pathology_corpus,
     remove_spurious,
@@ -39,23 +38,11 @@ from corefeval.stratify import (
 )
 
 
-@st.composite
-def corpora(draw):
-    """1-3 documents of random key/response pairs, some with named mentions."""
-    pairs = []
-    for d in range(draw(st.integers(1, 3))):
-        key, resp = draw(helpers.label_instances(max_mentions=14, max_chains=6))
-        named = draw(st.frozensets(st.integers(0, 13), max_size=4))
-        pairs.append(DocPair(*helpers.build_pair(key, resp, f"d{d}", named)))
-    config = StratumConfig(draw(st.integers(2, 5)), draw(st.booleans()))
-    return pairs, config
-
-
 def partition_counts(key, resp):
     return table_counts(overlap(key, resp), ALL_METRICS)
 
 
-@given(corpora())
+@given(helpers.corpora())
 def test_document_projections_match_rebuilt_partitions(corpus):
     pairs, config = corpus
     for p in pairs:
@@ -83,7 +70,7 @@ def test_document_projections_match_rebuilt_partitions(corpus):
         assert table_tallies(after) == partition_tallies(p.key, cleaned)
 
 
-@given(corpora())
+@given(helpers.corpora())
 def test_corpus_reports_match_rebuilt_partitions(corpus):
     pairs, config = corpus
     for averaging in Averaging:
@@ -129,7 +116,7 @@ def test_one_walk_matches_per_metric_walks_on_random_tables(t):
     assert_one_walk_matches_per_metric_walks(t)
 
 
-@given(corpora())
+@given(helpers.corpora())
 def test_one_walk_matches_per_metric_walks_on_document_projections(corpus):
     pairs, config = corpus
     for p in pairs:

@@ -64,10 +64,8 @@ from .model import (
 )
 from .reports import OutputFormat, emit_report
 from .stats import (
-    CorpusStats,
     StatsReport,
     ZipfFit,
-    compute_stats,
     stats_report,
     zipf_fit,
 )
@@ -85,7 +83,6 @@ __all__ = [
     "Chain",
     "CorefEvalError",
     "CorpusSource",
-    "CorpusStats",
     "DocMismatch",
     "DocPair",
     "Document",
@@ -115,7 +112,6 @@ __all__ = [
     "blanc",
     "ceaf",
     "corpus_stats_report",
-    "compute_stats",
     "emit_jsonl",
     "emit_report",
     "iter_conll",

@@ -294,9 +294,7 @@ class Partition(Frozen):
         fields = {
             "doc_id": built.doc_id,
             "role": Role(role),
-            # Interned: the ids that recur in every document ("0", "1", ...
-            # in CoNLL) are then held once per corpus.
-            "chain_ids": tuple(map(sys.intern, ids)),
+            "chain_ids": tuple(ids),
             "spans": tuple(tuple(sorted(built.chains[c])) for c in ids),
             "named": frozenset(built.named) if built.named else _NO_NAMES,
             "surfaces": built.surfaces or _NO_SURFACES,

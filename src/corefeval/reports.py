@@ -14,10 +14,10 @@ Formatting contracts:
 Every report goes through one of two writers.  JSON is ``_plain`` of the
 report: a record becomes an object of its fields and a mapping gets string
 keys (an enum's value, ``str`` of an int), so a report's JSON keys are its
-fields; only a stats report lifts its ``CorpusStats`` fields to the top.
-CSV and tables are ``_text`` of the report's layout, a list of
-``(header, rows, align_left)`` sections one blank line apart; a section
-without a header is a field/value list.
+fields, for every kind.  CSV and tables are ``_text`` of the report's
+layout (``_LAYOUTS`` holds one per kind), a list of ``(header, rows,
+align_left)`` sections one blank line apart; a section without a header
+is a field/value list.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ def _na(value: Optional[float], show) -> str:
 
 
 def _plain(value):
-    """JSON data of a report: records as objects of their fields, mapping
-    keys as strings; any other value as it is."""
+    """JSON data of any report kind: records as objects of their fields,
+    mapping keys as strings; any other value as it is."""
     if hasattr(value, "_asdict"):
         value = value._asdict()
     if isinstance(value, Mapping):
@@ -170,19 +170,19 @@ def _pathology_layout(report: PathologyReport, fmt: OutputFormat) -> list[Sectio
 
 
 def _stats_layout(report: StatsReport, fmt: OutputFormat) -> list[Section]:
-    stats, fit = report.stats, report.fit
+    fit = report.zipf_fit
     csv = fmt is OutputFormat.CSV
     # CSV keeps full precision; the table shows the fit to 4 places and the
     # ratios as whole numbers (see the module docstring for the rule).
     number = repr if csv else _fmt
     incl, excl = (repr, repr) if csv else (math.trunc, round)
     rows = [
-        ("num_tokens", str(stats.num_tokens)),
-        ("num_mentions", str(stats.num_mentions)),
-        ("num_chains", str(stats.num_chains)),
-        ("num_singletons", str(stats.num_singletons)),
-        ("mentions_per_chain_incl", _na(stats.mentions_per_chain_incl, incl)),
-        ("mentions_per_chain_excl", _na(stats.mentions_per_chain_excl, excl)),
+        ("num_tokens", str(report.num_tokens)),
+        ("num_mentions", str(report.num_mentions)),
+        ("num_chains", str(report.num_chains)),
+        ("num_singletons", str(report.num_singletons)),
+        ("mentions_per_chain_incl", _na(report.mentions_per_chain_incl, incl)),
+        ("mentions_per_chain_excl", _na(report.mentions_per_chain_excl, excl)),
     ]
     if fit is None:
         rows.append(("zipf_fit", "n/a"))
@@ -195,9 +195,17 @@ def _stats_layout(report: StatsReport, fmt: OutputFormat) -> list[Section]:
         ]
     sections = [(None, rows, 1)]
     if csv:
-        series = [(str(rank), str(size)) for rank, size in report.series]
+        series = [(str(rank), str(size)) for rank, size in report.rank_size]
         sections.append((("rank", "size"), series, 1))
     return sections
+
+
+_LAYOUTS = {
+    MetricReport: _metric_layout,
+    StratifiedReport: _stratified_layout,
+    PathologyReport: _pathology_layout,
+    StatsReport: _stats_layout,
+}
 
 
 def emit_report(
@@ -206,23 +214,9 @@ def emit_report(
 ) -> str:
     """Serialize any report deterministically in the requested format."""
     fmt = OutputFormat(fmt)
-    data = report
-    if isinstance(report, MetricReport):
-        layout = _metric_layout
-    elif isinstance(report, StratifiedReport):
-        layout = _stratified_layout
-    elif isinstance(report, PathologyReport):
-        layout = _pathology_layout
-    elif isinstance(report, StatsReport):
-        layout = _stats_layout
-        data = {
-            **report.stats._asdict(),
-            "rank_size": report.series,
-            "zipf_fit": report.fit,
-            "exclude_singletons": report.exclude_singletons,
-        }
-    else:
+    layout = _LAYOUTS.get(type(report))
+    if layout is None:
         raise TypeError(f"cannot render {type(report).__name__}")
     if fmt is OutputFormat.JSON:
-        return _json(_plain(data))
+        return _json(_plain(report))
     return _text(layout(report, fmt), fmt)

@@ -1,11 +1,13 @@
 """Corpus profile statistics and the rank-size Zipf diagnostic.
 
-``num_chains`` counts non-singleton chains only; singletons are tallied
-separately, and both mentions-per-chain ratios are emitted so either
-reading of "chain" is inspectable.  The rank-size series lists every
-chain (singletons included) by descending size, which is the
-plottable-series path; ``zipf_fit`` measures log-log straightness with
-ordinary least squares, every sum exactly rounded (``math.fsum``).
+``stats_report`` builds the one record the stats command prints; its
+fields are its JSON keys.  ``num_chains`` counts non-singleton chains
+only; singletons are tallied separately, and both mentions-per-chain
+ratios are emitted so either reading of "chain" is inspectable.  The
+rank-size series lists every chain by descending size (without the
+singletons, its tail, under ``exclude_singletons``); ``zipf_fit``
+measures its log-log straightness with ordinary least squares, every
+sum exactly rounded (``math.fsum``).
 """
 
 from __future__ import annotations
@@ -18,12 +20,18 @@ from .errors import EmptySeries, ModelError
 from .model import Document, Partition
 
 
-class CorpusStats(NamedTuple):
-    """Aggregate counts over a corpus.
+class StatsReport(NamedTuple):
+    """Aggregate counts over a corpus, as the stats command emits them.
 
     Ratios are None when their denominator is zero.
     ``mentions_per_chain_incl``   = mentions / (chains + singletons)
     ``mentions_per_chain_excl``   = (mentions - singletons) / chains
+
+    ``rank_size`` is the series that is emitted and fitted; with
+    ``exclude_singletons`` it stops before the singletons, and the other
+    chains keep their ranks because singletons occupy the tail of the
+    descending sort.  The counts still see every chain.  ``zipf_fit`` is
+    None when the series is empty.
     """
 
     num_mentions: int
@@ -34,9 +42,13 @@ class CorpusStats(NamedTuple):
     mentions_per_chain_excl: Optional[float]
     length_histogram: Mapping[int, int]
     rank_size: tuple[tuple[int, int], ...]
+    zipf_fit: Optional[ZipfFit]
+    exclude_singletons: bool
 
 
-def compute_stats(docs: Iterable[tuple[Document, Partition]]) -> CorpusStats:
+def stats_report(
+    docs: Iterable[tuple[Document, Partition]], exclude_singletons: bool = False
+) -> StatsReport:
     """Aggregate counts over all documents; additive under concatenation."""
     histogram: Counter = Counter()
     num_tokens = 0
@@ -50,8 +62,11 @@ def compute_stats(docs: Iterable[tuple[Document, Partition]]) -> CorpusStats:
     num_mentions = sum(size * count for size, count in histogram.items())
     incl = num_mentions / total_chains if total_chains else None
     excl = (num_mentions - num_singletons) / num_nonsingleton if num_nonsingleton else None
-    rank_size = tuple(enumerate(sorted(histogram.elements(), reverse=True), 1))
-    return CorpusStats(
+    sizes = sorted(histogram.elements(), reverse=True)
+    if exclude_singletons:
+        del sizes[num_nonsingleton:]  # the singletons, the descending tail
+    rank_size = tuple(enumerate(sizes, 1))
+    return StatsReport(
         num_mentions=num_mentions,
         num_chains=num_nonsingleton,
         num_singletons=num_singletons,
@@ -60,6 +75,8 @@ def compute_stats(docs: Iterable[tuple[Document, Partition]]) -> CorpusStats:
         mentions_per_chain_excl=excl,
         length_histogram=dict(sorted(histogram.items())),
         rank_size=rank_size,
+        zipf_fit=zipf_fit(rank_size) if rank_size else None,
+        exclude_singletons=exclude_singletons,
     )
 
 
@@ -103,29 +120,3 @@ def zipf_fit(series: Sequence[tuple[float, float]]) -> ZipfFit:
     ss_res = math.fsum((b - (slope * a + intercept)) ** 2 for a, b in zip(x, y))
     r_squared = min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
     return ZipfFit(slope, intercept, r_squared, len(points))
-
-
-class StatsReport(NamedTuple):
-    """Bundle emitted by the stats command.
-
-    ``series`` is the rank-size series actually emitted and fitted; with
-    ``exclude_singletons`` it is the non-singleton prefix of the full
-    series (ranks are unchanged because singletons occupy the tail of the
-    descending sort).  ``fit`` is None when the series is empty.
-    """
-
-    stats: CorpusStats
-    series: tuple[tuple[int, int], ...]
-    fit: Optional[ZipfFit]
-    exclude_singletons: bool
-
-
-def stats_report(
-    docs: Iterable[tuple[Document, Partition]], exclude_singletons: bool = False
-) -> StatsReport:
-    stats = compute_stats(docs)
-    series = stats.rank_size
-    if exclude_singletons:
-        series = tuple(p for p in series if p[1] > 1)
-    fit = zipf_fit(series) if series else None
-    return StatsReport(stats, series, fit, exclude_singletons)

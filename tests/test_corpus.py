@@ -364,4 +364,4 @@ class TestLoading:
         source = parse_jsonl(text.splitlines())
         report = corpus_stats_report(source, exclude_singletons=True)
         assert report.exclude_singletons is True
-        assert report.stats.num_mentions == 6
+        assert report.num_mentions == 6

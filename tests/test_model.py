@@ -18,7 +18,6 @@ from corefeval import (
     Role,
     ScoreTriple,
     StratumConfig,
-    compute_stats,
     optimal_alignment,
     pathology_corpus,
     score_corpus,
@@ -250,7 +249,6 @@ def _record_twins():
             "MetricReport": score_corpus(pairs),
             "PathologyReport": pathology_corpus(pairs),
             "StratifiedReport": stratified,
-            "CorpusStats": compute_stats([(doc, plain)]),
             "ZipfFit": zipf_fit([(1, 3), (2, 1)]),
             "StatsReport": stats_report([(doc, plain)]),
             "StratumConfig": StratumConfig(),
@@ -266,7 +264,6 @@ def _record_twins():
 RECORD_TWINS = _record_twins()
 # A field of these holds a dict, so they compare by value but cannot hash.
 UNHASHABLE = {
-    "CorpusStats",
     "MetricReport",
     "Overlap",
     "PathologyReport",

@@ -274,9 +274,9 @@ class TestStatsRendering:
         report = stats_report(helpers.sized_corpus({"d": [4, 2, 1]}))
         data = json.loads(emit_report(report, OutputFormat.JSON))
         assert data["num_mentions"] == 7
-        assert data["mentions_per_chain_incl"] == report.stats.mentions_per_chain_incl
+        assert data["mentions_per_chain_incl"] == report.mentions_per_chain_incl
         assert data["rank_size"] == [[1, 4], [2, 2], [3, 1]]
-        assert data["zipf_fit"]["slope"] == report.fit.slope
+        assert data["zipf_fit"]["slope"] == report.zipf_fit.slope
         assert data["exclude_singletons"] is False
 
     def test_json_bytes_sort_histogram_keys_as_strings(self):
@@ -314,6 +314,22 @@ class TestTripleAndDispatch:
     def test_unknown_format_rejected(self, metric_report):
         with pytest.raises(ValueError):
             emit_report(metric_report, "yaml")
+
+
+REPORTS = {
+    "metric": lambda: score_corpus([DocPair(*helpers.build_pair(KEY, RESP))]),
+    "stratified": TestStratifiedRendering().report,
+    "pathology": TestPathologyRendering().report,
+    "stats": lambda: stats_report(helpers.sized_corpus({"d": [4, 2, 1]})),
+    "stats-without-fit": lambda: stats_report([]),
+}
+
+
+@pytest.mark.parametrize("kind", REPORTS)
+def test_json_keys_are_the_report_fields(kind):
+    """A report kind is one record whose fields are its JSON keys."""
+    report = REPORTS[kind]()
+    assert set(json.loads(emit_report(report, "json"))) == set(report._fields)
 
 
 @pytest.mark.parametrize("fmt", [f.value for f in OutputFormat])

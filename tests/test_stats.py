@@ -10,7 +10,6 @@ import helpers
 from corefeval import (
     EmptySeries,
     ModelError,
-    compute_stats,
     stats_report,
     zipf_fit,
 )
@@ -24,8 +23,10 @@ NOVEL_SIZES = [83] * 106 + [82] * 37 + [1] * 56
 
 
 class TestComputeStats:
+    """The corpus counts of ``stats_report``."""
+
     def test_single_pair_chain(self):
-        stats = compute_stats(corpus({"d": [2]}))
+        stats = stats_report(corpus({"d": [2]}))
         assert stats.num_mentions == 2
         assert stats.num_chains == 1
         assert stats.num_singletons == 0
@@ -33,7 +34,7 @@ class TestComputeStats:
         assert stats.mentions_per_chain_excl == 2.0
 
     def test_empty_corpus(self):
-        stats = compute_stats([])
+        stats = stats_report([])
         assert stats.num_mentions == 0
         assert stats.num_chains == 0
         assert stats.num_singletons == 0
@@ -43,14 +44,14 @@ class TestComputeStats:
         assert stats.rank_size == ()
 
     def test_all_singletons_has_no_exclusive_ratio(self):
-        stats = compute_stats(corpus({"d": [1, 1, 1]}))
+        stats = stats_report(corpus({"d": [1, 1, 1]}))
         assert stats.num_chains == 0
         assert stats.num_singletons == 3
         assert stats.mentions_per_chain_incl == 1.0
         assert stats.mentions_per_chain_excl is None
 
     def test_novel_profile_counts(self):
-        stats = compute_stats(corpus({"novel": NOVEL_SIZES}))
+        stats = stats_report(corpus({"novel": NOVEL_SIZES}))
         assert stats.num_mentions == 11888
         assert stats.num_chains == 143
         assert stats.num_singletons == 56
@@ -66,7 +67,7 @@ class TestComputeStats:
         assert round(stats.mentions_per_chain_excl) == 83
 
     def test_histogram(self):
-        stats = compute_stats(corpus({"d": [3, 3, 2, 1]}))
+        stats = stats_report(corpus({"d": [3, 3, 2, 1]}))
         assert stats.length_histogram == {1: 1, 2: 1, 3: 2}
         assert stats.num_mentions == sum(
             size * count for size, count in stats.length_histogram.items()
@@ -75,12 +76,12 @@ class TestComputeStats:
 
     def test_token_totals_accumulate(self):
         docs = corpus({"a": [2], "b": [3]})
-        assert compute_stats(docs).num_tokens == 5
+        assert stats_report(docs).num_tokens == 5
 
     def test_counts_are_additive_over_documents(self):
-        both = compute_stats(corpus({"a": [3, 1], "b": [2, 2]}))
-        first = compute_stats(corpus({"a": [3, 1]}))
-        second = compute_stats(corpus({"b": [2, 2]}))
+        both = stats_report(corpus({"a": [3, 1], "b": [2, 2]}))
+        first = stats_report(corpus({"a": [3, 1]}))
+        second = stats_report(corpus({"b": [2, 2]}))
         assert both.num_mentions == first.num_mentions + second.num_mentions
         assert both.num_chains == first.num_chains + second.num_chains
         assert both.num_singletons == first.num_singletons + second.num_singletons
@@ -88,21 +89,21 @@ class TestComputeStats:
 
     def test_input_order_does_not_matter(self):
         docs = corpus({"a": [3, 1], "b": [2, 2]})
-        assert compute_stats(docs) == compute_stats(list(reversed(docs)))
+        assert stats_report(docs) == stats_report(list(reversed(docs)))
 
 
 class TestRankSize:
     def test_descending_with_ranks_from_one(self):
-        stats = compute_stats(corpus({"d": [5, 3, 3, 1]}))
+        stats = stats_report(corpus({"d": [5, 3, 3, 1]}))
         assert list(stats.rank_size) == [(1, 5), (2, 3), (3, 3), (4, 1)]
 
     def test_ties_break_by_document_then_chain_id(self):
         docs = corpus({"b": [2], "a": [2]})
-        stats = compute_stats(docs)
+        stats = stats_report(docs)
         assert list(stats.rank_size) == [(1, 2), (2, 2)]
 
     def test_sizes_sum_to_mentions(self):
-        stats = compute_stats(corpus({"a": [4, 2, 1], "b": [3]}))
+        stats = stats_report(corpus({"a": [4, 2, 1], "b": [3]}))
         assert sum(size for _, size in stats.rank_size) == stats.num_mentions
         assert [rank for rank, _ in stats.rank_size] == list(
             range(1, len(stats.rank_size) + 1)
@@ -111,7 +112,7 @@ class TestRankSize:
     @given(st.lists(st.lists(st.integers(1, 6), max_size=5), max_size=4))
     def test_series_is_sorted_descending(self, size_lists):
         docs = corpus({f"d{i}": sizes for i, sizes in enumerate(size_lists)})
-        stats = compute_stats(docs)
+        stats = stats_report(docs)
         sizes = [size for _, size in stats.rank_size]
         assert sizes == sorted(sizes, reverse=True)
 
@@ -119,7 +120,7 @@ class TestRankSize:
 class TestRatioOrdering:
     @given(st.lists(st.integers(1, 9), min_size=1, max_size=12))
     def test_inclusive_never_exceeds_exclusive(self, sizes):
-        stats = compute_stats(corpus({"d": sizes}))
+        stats = stats_report(corpus({"d": sizes}))
         if stats.mentions_per_chain_excl is None:
             return
         assert stats.mentions_per_chain_incl <= stats.mentions_per_chain_excl
@@ -171,7 +172,7 @@ class TestZipfFit:
 
     def test_plateau_profile_is_less_straight_than_a_law(self):
         lawlike = zipf_fit([(r, max(1, round(1000 / r))) for r in range(1, 101)])
-        plateau = stats_report(corpus({"novel": NOVEL_SIZES})).fit
+        plateau = stats_report(corpus({"novel": NOVEL_SIZES})).zipf_fit
         assert plateau is not None and plateau.r_squared is not None
         assert plateau.r_squared < lawlike.r_squared
         assert plateau.r_squared < 0.99
@@ -180,24 +181,24 @@ class TestZipfFit:
 class TestStatsReport:
     def test_series_and_fit_present(self):
         report = stats_report(corpus({"d": [4, 2, 1]}))
-        assert report.series == ((1, 4), (2, 2), (3, 1))
-        assert report.fit is not None
+        assert report.rank_size == ((1, 4), (2, 2), (3, 1))
+        assert report.zipf_fit is not None
         assert report.exclude_singletons is False
 
     def test_exclude_singletons_drops_the_tail(self):
         report = stats_report(corpus({"d": [4, 2, 1, 1]}), exclude_singletons=True)
-        assert report.series == ((1, 4), (2, 2))
-        assert report.fit is not None and report.fit.n_points == 2
+        assert report.rank_size == ((1, 4), (2, 2))
+        assert report.zipf_fit is not None and report.zipf_fit.n_points == 2
         assert report.exclude_singletons is True
-        # the underlying stats still see every chain
-        assert report.stats.num_singletons == 2
+        # the counts still see every chain
+        assert report.num_singletons == 2
 
     def test_exclude_on_all_singleton_corpus_leaves_nothing_to_fit(self):
         report = stats_report(corpus({"d": [1, 1]}), exclude_singletons=True)
-        assert report.series == ()
-        assert report.fit is None
+        assert report.rank_size == ()
+        assert report.zipf_fit is None
 
     def test_empty_corpus_has_no_fit(self):
         report = stats_report([])
-        assert report.series == ()
-        assert report.fit is None
+        assert report.rank_size == ()
+        assert report.zipf_fit is None

@@ -251,22 +251,16 @@ def test_previous_document_is_dropped_before_the_next_is_parsed(command, tmp_pat
         folder = tmp_path / str(copies)
         folder.mkdir()
         paths[copies] = _write(folder, "jsonl", *texts)
-    # Two effects of the interpreter, not of any document, are kept out of
-    # the comparison.  Chain ids are interned (``Partition``), so the parsed
-    # documents are kept: their ids stay in the table of interned strings,
-    # which otherwise may grow by a step during one measured run and not the
-    # other.  A full collection empties the free lists, whose blocks
-    # tracemalloc counts as held until they are reused.
-    kept = [
-        list(read_corpus(path, "jsonl", role))
-        for path, role in zip(paths[1], (Role.KEY, Role.RESPONSE))
-    ]
+    # An effect of the interpreter, not of any document, is kept out of the
+    # comparison: a full collection empties the free lists, whose blocks
+    # tracemalloc counts as held until they are reused.  Chain ids are not
+    # interned (``Partition``), so no table of interned strings grows by a
+    # step during one measured run and not the other.
     _library_run(command, *paths[1])  # first-call caches are not compared
     peaks = {}
     for copies in paths:
         gc.collect()
         peaks[copies] = _peak(_library_run, command, *paths[copies])[1]
-    del kept
     assert peaks[2] <= 1.1 * peaks[1], peaks
 
 

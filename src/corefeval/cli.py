@@ -162,7 +162,7 @@ def _execute(args: argparse.Namespace) -> str:
             report = score_corpus(pairs, args.metrics, args.averaging)
         elif args.command == "stratify":
             report = stratify_corpus(
-                pairs, stratum_config, args.metrics, args.averaging
+                pairs, stratum_config, args.metrics, args.averaging, key_format=key_format
             )
         else:
             report = pathology_corpus(pairs, args.metrics, args.averaging)

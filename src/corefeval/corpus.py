@@ -16,22 +16,22 @@ built when the pair is reached and dropped once its counts are taken:
 ``score`` reads the metrics and tallies off it, ``stratify`` scores its
 per-stratum row projections and reads leakage, singleton detection and
 the spurious count off its cells (``stratify_corpus`` degrades
-require_named when no key mention in the corpus is named), and
+require_named when no key mention is named, up front for CoNLL), and
 ``pathology`` scores it before and its projection onto every key row
 after spurious-mention removal.  No partition is rebuilt on any of these
 paths.
 
-Counts are kept as one record per document, ``(doc_id, {label: counts})``,
-and one reduction sorts the records by doc id, so floats add in one order
-whatever the order of the pairs, then reduces each label (``score``;
-``before`` and ``after``; each stratum present) over the documents that
-have it.  Micro averaging sums each metric's numerators and denominators
-before dividing; macro averaging takes the component-wise mean of
-per-document triples (F1 is averaged directly, not recomputed from the
-averaged recall and precision).  To score one document, pass a corpus of
-one pair, ``[DocPair(key, response)]``, to ``score_corpus``,
-``stratify_corpus`` or ``pathology_corpus``; the require_named degrade
-then reads that document.
+Counts are kept as one record per document, ``(doc_id, {label: fields})``,
+the fields of a label one flat tuple of numbers (``_doc_counts``), and one
+reduction sorts the records by doc id, so floats add in one order whatever
+the order of the pairs, then reduces each label (``score``; ``before`` and
+``after``; each stratum present) over the documents that have it.  Micro
+averaging sums each metric's numerators and denominators before dividing;
+macro averaging takes the component-wise mean of per-document triples (F1
+too, not recomputed from the means).  To score one document, pass a corpus
+of one pair, ``[DocPair(key, response)]``, to ``score_corpus``,
+``stratify_corpus`` or ``pathology_corpus``; the require_named degrade then
+reads that document.
 """
 
 from __future__ import annotations
@@ -41,12 +41,13 @@ import operator
 import warnings
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .conll import iter_conll
 from .errors import CorefEvalError, DocMismatch, ParseError
 from .jsonl import iter_jsonl
 from .metrics import (
+    BlancCounts,
     MetricCounts,
     MetricId,
     MetricReport,
@@ -177,42 +178,52 @@ def pair_corpora(
     return tuple(sorted(pairs, key=lambda p: p.key.doc_id))
 
 
-DocCounts = tuple[dict[MetricId, MetricCounts], dict[str, int]]
+def _doc_counts(t: Overlap, wanted: tuple[MetricId, ...]) -> tuple:
+    """A flat record: each metric's fields (BLANC's coref first), then tallies;
+    ``_counts`` gives one metric's counts back from its slice."""
+    fields = []
+    for c in table_counts(t, wanted).values():
+        fields += (*c.coref, *c.noncoref) if isinstance(c, BlancCounts) else c
+    return (*fields, *operator.itemgetter(*TALLY_KEYS)(table_tallies(t)))
 
 
-def _doc_counts(t: Overlap, wanted: tuple[MetricId, ...]) -> DocCounts:
-    return table_counts(t, wanted), table_tallies(t)
+def _counts(metric: MetricId, fields: tuple) -> MetricCounts:
+    if metric is MetricId.BLANC:
+        return BlancCounts(PRCounts(*fields[:4]), PRCounts(*fields[4:]))
+    return PRCounts(*fields)
 
 
 def _average(
-    counts: Sequence[MetricCounts], zero: MetricCounts, averaging: Averaging
+    counts: Iterable[MetricCounts], zero: MetricCounts, averaging: Averaging
 ) -> ScoreTriple:
     """Micro: one triple from the summed counts.  Macro: the mean triple."""
     if averaging is Averaging.MICRO:
         return functools.reduce(operator.add, counts, zero).triple()
-    if not counts:
-        return ZERO_TRIPLE
     triples = [c.triple() for c in counts]
-    return ScoreTriple(*(sum(column) / len(triples) for column in zip(*triples)))
+    if not triples:
+        return ZERO_TRIPLE
+    n = len(triples)  # columns add left to right: sum() compensates since 3.12
+    return ScoreTriple(*(functools.reduce(operator.add, c, 0) / n for c in zip(*triples)))
 
 
 def _reduce(
     docs: list[tuple], labels: Iterable, wanted: tuple[MetricId, ...], averaging: Averaging
 ) -> dict:
     """One report per label from per-document records ``(doc_id, {label:
-    counts}, ...)``, each label over the documents that have it; tallies
+    record}, ...)``, each label over the documents that have it; tallies
     always add up.  The records are sorted in place by doc id (equal ids keep
     their order), so every float, here and in the caller's own averages
     over them, adds in the same order on every run."""
     docs.sort(key=operator.itemgetter(0))
     reports = {}
     for label in labels:
-        counts = [doc[1][label] for doc in docs if label in doc[1]]
-        scores = {
-            m: _average([c[m] for c, _ in counts], zero_counts(m), averaging)
-            for m in wanted
-        }
-        tallies = {k: sum(t[k] for _, t in counts) for k in TALLY_KEYS}
+        records = [doc[1][label] for doc in docs if label in doc[1]]
+        scores, start = {}, 0
+        for m in wanted:
+            end = start + (8 if m is MetricId.BLANC else 4)
+            counts = (_counts(m, r[start:end]) for r in records)
+            scores[m], start = _average(counts, zero_counts(m), averaging), end
+        tallies = {k: sum(r[i] for r in records) for i, k in enumerate(TALLY_KEYS, start)}
         reports[label] = MetricReport(scores, _conll_avg(scores), tallies)
     return reports
 
@@ -236,20 +247,24 @@ def stratify_corpus(
     config: StratumConfig = StratumConfig(),
     metrics: Optional[Iterable[MetricId | str]] = None,
     averaging: Averaging | str = Averaging.MICRO,
+    *,
+    key_format: Optional[SourceFormat | str] = None,
 ) -> StratifiedReport:
     """Corpus-wide stratified report; strata accumulate across documents,
     and macro averages each stratum over the documents that have it.  With
     no named key mention in the corpus, require_named degrades, with a
-    warning, and the report's ``config`` says so."""
+    warning, and the report's ``config`` says so.  A CoNLL ``key_format``
+    carries no names, so the degrade is known before the first pair."""
     wanted = normalize_metrics(metrics)
     averaging = Averaging(averaging)
     # Until a named key span turns up, label as if require_named degraded; a
     # document with a major chain keeps its secondary table and extra leakage
     # under ``config``, scored if a named span turns up and dropped if not.
     named = not config.require_named
+    nameless = key_format is not None and SourceFormat(key_format) is SourceFormat.CONLL
     labelling = config._replace(require_named=False)
-    pending: list[tuple[dict[Stratum, DocCounts], Overlap, int]] = []
-    docs: list[tuple[str, dict[Stratum, DocCounts], PRCounts]] = []
+    pending: list[tuple[dict[Stratum, tuple], Overlap, int]] = []
+    docs: list[tuple] = []  # (doc_id, {stratum: record}, *singleton detection)
     leakage = spurious = 0
     for p in pairs:
         if not named and p.key.named:
@@ -263,11 +278,11 @@ def stratify_corpus(
         labels = chain_strata(p.key, labelling)
         counts = {s: _doc_counts(u, wanted) for s, u in stratum_tables(t, labels).items()}
         doc_leakage = table_leakage(t, labels)
-        if not named and Stratum.MAJOR in labels:
+        if not (named or nameless) and Stratum.MAJOR in labels:
             strict = chain_strata(p.key, config)
             secondary = stratum_tables(t, strict)[Stratum.SECONDARY]
             pending.append((counts, secondary, table_leakage(t, strict) - doc_leakage))
-        docs.append((p.key.doc_id, counts, table_singleton_detection(t)))
+        docs.append((p.key.doc_id, counts, *table_singleton_detection(t)))
         leakage += doc_leakage
         spurious += t.spurious()
         del p, t  # not held while the next pair is read
@@ -279,9 +294,10 @@ def stratify_corpus(
             stacklevel=2,
         )
     present = [s for s in Stratum if any(s in doc[1] for doc in docs)]
+    detection = (PRCounts(*doc[2:]) for doc in docs)
     return StratifiedReport(
         per_stratum=_reduce(docs, present, wanted, averaging),
-        singleton_detection=_average([d for *_, d in docs], PRCounts(), averaging),
+        singleton_detection=_average(detection, PRCounts(), averaging),
         leakage=leakage,
         config=labelling,
         spurious_mentions=spurious,

@@ -485,7 +485,8 @@ class MetricReport(NamedTuple):
 def _conll_avg(scores: Mapping[MetricId, ScoreTriple]) -> Optional[float]:
     if any(m not in scores for m in CONLL_METRICS):
         return None
-    return sum(scores[m].f1 for m in CONLL_METRICS) / len(CONLL_METRICS)
+    muc, b3, ceaf_e = (scores[m].f1 for m in CONLL_METRICS)
+    return (muc + b3 + ceaf_e) / len(CONLL_METRICS)  # not sum(): see corpus._average
 
 
 def remove_spurious(response: Partition, key: Partition) -> Partition:

@@ -26,6 +26,7 @@ import json
 import math
 from collections.abc import Mapping
 from enum import Enum
+from itertools import islice
 from typing import Optional
 
 from .metrics import MetricReport, PathologyReport
@@ -67,7 +68,9 @@ def _plain(value):
 
 
 def _json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)
+    # As json.dumps, whose indenting encoder would list every chunk at once.
+    chunks = json.JSONEncoder(indent=2, sort_keys=True, ensure_ascii=False).iterencode(obj)
+    return "".join(map("".join, iter(lambda: list(islice(chunks, 4096)), [])))
 
 
 def _table(rows: list[tuple[str, ...]], align_left: int = 1) -> list[str]:

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from itertools import chain, groupby, repeat
+from operator import add, itemgetter, mul, sub
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import EmptySeries, ModelError
 from .model import Document, Partition
@@ -97,26 +99,34 @@ def zipf_fit(series: Sequence[tuple[float, float]]) -> ZipfFit:
     """Least-squares straightness diagnostic in log-log space.
 
     Sizes need not be integers (a generated law can be fitted before
-    rounding), but every rank and size must be at least 1.
+    rounding), but every rank and size must be at least 1.  Each exact
+    sum takes its logs afresh, one per rank and one per run of equal sizes.
     """
-    points = list(series)
-    if not points:
+    if not series:
         raise EmptySeries("zipf fit needs at least one (rank, size) point")
-    for rank, size in points:
+    for rank, size in series:
         if rank < 1 or size < 1:
             raise ModelError(f"rank and size must be >= 1, got ({rank}, {size})")
-    if len(points) == 1:
-        return ZipfFit(0.0, math.log(points[0][1]), None, 1)
-    x = [math.log(rank) for rank, _ in points]
-    y = [math.log(size) for _, size in points]
-    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
-    sxx = math.fsum((a - x_mean) ** 2 for a in x)
-    sxy = math.fsum((a - x_mean) * (b - y_mean) for a, b in zip(x, y))
+    n = len(series)  # one point fits with slope 0.0 and r_squared None
+    sizes = groupby(map(itemgetter(1), series))
+    y, counts = zip(*((math.log(size), len(list(run))) for size, run in sizes))
+
+    def x() -> Iterator[float]:
+        return map(math.log, map(itemgetter(0), series))
+
+    def per_point(run_terms: Iterable[float]) -> Iterator[float]:
+        return chain.from_iterable(map(repeat, run_terms, counts))
+
+    x_mean, y_mean = math.fsum(x()) / n, math.fsum(per_point(y)) / n
+    sxx = math.fsum(map(pow, map(sub, x(), repeat(x_mean)), repeat(2)))
+    y_dev = [b - y_mean for b in y]
+    sxy = math.fsum(map(mul, map(sub, x(), repeat(x_mean)), per_point(y_dev)))
     slope = sxy / sxx if sxx else 0.0
     intercept = y_mean - slope * x_mean
-    ss_tot = math.fsum((b - y_mean) ** 2 for b in y)
+    ss_tot = math.fsum(per_point([d**2 for d in y_dev]))
     if ss_tot == 0.0:
-        return ZipfFit(slope, intercept, None, len(points))
-    ss_res = math.fsum((b - (slope * a + intercept)) ** 2 for a, b in zip(x, y))
+        return ZipfFit(slope, intercept, None, n)
+    fitted = map(add, map(mul, repeat(slope), x()), repeat(intercept))
+    ss_res = math.fsum(map(pow, map(sub, per_point(y), fitted), repeat(2)))
     r_squared = min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
-    return ZipfFit(slope, intercept, r_squared, len(points))
+    return ZipfFit(slope, intercept, r_squared, n)

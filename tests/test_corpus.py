@@ -26,7 +26,9 @@ from corefeval import (
 )
 from corefeval.conll import parse_conll
 from corefeval.jsonl import parse_jsonl
-from corefeval.metrics import metric_counts, zero_counts
+from corefeval.corpus import _average
+from corefeval.metrics import CONLL_METRICS, _conll_avg, metric_counts, zero_counts
+from corefeval.model import ScoreTriple
 
 DOC1_KEY = {"k1": frozenset({1, 2, 3}), "k2": frozenset({4, 5})}
 DOC1_RESP = {"r1": frozenset({1, 2}), "r2": frozenset({3, 4, 5})}
@@ -196,6 +198,51 @@ def test_reports_do_not_depend_on_the_order_of_pairs(corpus, data):
                 assert run(shuffled, averaging) == expected
                 streamed = pair_documents(key_docs, response_docs)
                 assert run(streamed, averaging) == expected
+
+
+class TestLeftToRightSums:
+    """Floats add left to right, as ``sum`` did before Python 3.12 made it
+    compensated, so the reports print the same bytes on every version."""
+
+    class Scored:
+        def __init__(self, f1):
+            self.f1 = f1
+
+        def triple(self):
+            return ScoreTriple(self.f1, self.f1, self.f1)
+
+    def test_macro_mean(self):
+        ten = [self.Scored(0.1)] * 10
+        mean = _average(ten, zero_counts(MetricId.MUC), Averaging.MACRO)
+        assert mean == ScoreTriple(*[0.09999999999999999] * 3)
+
+    def test_conll_average(self):
+        f1s = (0.1, 0.2, 0.3)
+        scores = {m: ScoreTriple(0.0, 0.0, f1) for m, f1 in zip(CONLL_METRICS, f1s)}
+        assert _conll_avg(scores) == 0.20000000000000004
+
+
+@given(
+    st.lists(helpers.label_instances(max_mentions=14, max_chains=6), min_size=1, max_size=3),
+    st.integers(2, 5),
+)
+def test_conll_key_format_gives_the_late_degrade_report(instances, threshold):
+    """An unnamed corpus gives the same report whether the degrade is known
+    before the first pair (a CoNLL key) or found after the last."""
+    pairs = [make_pair(key, resp, doc=f"d{d}") for d, (key, resp) in enumerate(instances)]
+    config = StratumConfig(threshold)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for averaging in Averaging:
+            late = stratify_corpus(pairs, config, averaging=averaging)
+            for fmt in (SourceFormat.CONLL, "conll"):
+                early = stratify_corpus(pairs, config, averaging=averaging, key_format=fmt)
+                assert early == late
+
+
+def test_key_format_is_keyword_only():
+    with pytest.raises(TypeError):
+        stratify_corpus(two_doc_pairs(), StratumConfig(), None, "micro", "conll")
 
 
 class TestEffectiveConfig:

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import helpers
 from corefeval import (
@@ -20,6 +22,7 @@ from corefeval import (
     stratify_corpus,
 )
 from corefeval.cli import main
+from corefeval.reports import _json
 
 KEY = {"k1": frozenset({1, 2, 3}), "k2": frozenset({4, 5})}
 RESP = {"r1": frozenset({1, 2}), "r2": frozenset({3, 4, 5})}
@@ -342,3 +345,29 @@ def test_cli_report_bytes_match_expected_files(fixtures_dir, capsys, command, fm
     assert main(args) == 0
     expected = fixtures_dir / "expected" / f"derived.{command}.{fmt}"
     assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
+
+
+REPORT_DATA = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda children: st.lists(children)
+    | st.dictionaries(st.text(), children)
+    # a rank-size series of more encoder chunks than one joined block
+    | st.integers(2_000, 3_000).map(lambda n: [(r, 1 + 5_000 // r) for r in range(1, n)]),
+    max_leaves=20,
+)
+
+
+@given(REPORT_DATA)
+def test_json_equals_json_dumps(data):
+    """The block-joined rendering is json.dumps' text, non-ASCII included."""
+    assert _json(data) == json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False)
+
+
+def test_json_keeps_non_ascii_text():
+    assert _json({"b": "Ångström", "a": [None, 1.5]}) == (
+        '{\n  "a": [\n    null,\n    1.5\n  ],\n  "b": "Ångström"\n}'
+    )

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
+import oracles
 from corefeval import (
     EmptySeries,
     ModelError,
@@ -169,6 +170,34 @@ class TestZipfFit:
         assert fit.slope == pytest.approx(slope, abs=1e-9)
         assert fit.intercept == pytest.approx(intercept, abs=1e-9)
         assert fit.r_squared is not None and fit.r_squared >= 0.99
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 10_000) | st.floats(1.0, 1e6),
+                st.integers(1, 50) | st.floats(1.0, 1e6),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_matches_the_per_point_oracle_bit_for_bit(self, series):
+        assert zipf_fit(series) == oracles.zipf_fit(series)
+
+    @given(
+        st.lists(st.integers(1, 12), max_size=80),
+        st.booleans(),
+        st.integers(1, 12),
+        st.integers(1, 5),
+    )
+    def test_rank_size_fit_matches_the_oracle(self, sizes, exclude, flat_size, flat_count):
+        """Histograms of random chains, with and without the singleton tail,
+        one point, and all sizes equal (r_squared None when the mean log
+        size is exact, as for (4, 4, 4))."""
+        for doc in (sizes, [flat_size], [flat_size] * flat_count):
+            report = stats_report(corpus({"d": doc}), exclude_singletons=exclude)
+            if report.rank_size:
+                assert report.zipf_fit == oracles.zipf_fit(report.rank_size)
 
     def test_plateau_profile_is_less_straight_than_a_law(self):
         lawlike = zipf_fit([(r, max(1, round(1000 / r))) for r in range(1, 101)])

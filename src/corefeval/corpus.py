@@ -13,13 +13,12 @@ for a partner and small per-document counts, but no pair already scored
 
 Each document pair gets exactly one overlap table (``metrics.overlap``),
 built when the pair is reached and dropped once its counts are taken:
-``score`` reads the metrics and tallies off it, ``stratify`` scores its
-per-stratum row projections and reads leakage, singleton detection and
-the spurious count off its cells (``stratify_corpus`` degrades
-require_named when no key mention is named, up front for CoNLL), and
-``pathology`` scores it before and its projection onto every key row
-after spurious-mention removal.  No partition is rebuilt on any of these
-paths.
+``score`` reads the metrics and tallies off it, ``stratify`` its
+per-stratum projections, leakage, singleton detection and spurious count
+off one walk of its labelled rows (``stratify.split_table``; the
+require_named degrade is decided up front for CoNLL), and ``pathology``
+scores it before and its projection onto every key row after
+spurious-mention removal.  No partition is rebuilt on any of these paths.
 
 Counts are kept as one record per document, ``(doc_id, {label: fields})``,
 the fields of a label one flat tuple of numbers (``_doc_counts``), and one
@@ -78,9 +77,7 @@ from .stratify import (
     Stratum,
     StratumConfig,
     chain_strata,
-    stratum_tables,
-    table_leakage,
-    table_singleton_detection,
+    split_table,
 )
 
 # The partition-building counterparts of the table path, which bench/layers.py
@@ -276,16 +273,16 @@ def stratify_corpus(
             pending = []
         t = overlap(p.key, p.response)
         labels = chain_strata(p.key, labelling)
-        counts = {s: _doc_counts(u, wanted) for s, u in stratum_tables(t, labels).items()}
-        doc_leakage = table_leakage(t, labels)
-        if not (named or nameless) and Stratum.MAJOR in labels:
-            strict = chain_strata(p.key, config)
-            secondary = stratum_tables(t, strict)[Stratum.SECONDARY]
-            pending.append((counts, secondary, table_leakage(t, strict) - doc_leakage))
-        docs.append((p.key.doc_id, counts, *table_singleton_detection(t)))
+        tables, doc_leakage, detection, cells = split_table(t, labels)
+        counts = {s: _doc_counts(u, wanted) for s, u in tables.items()}
+        if not (named or nameless) and Stratum.MAJOR in tables:
+            strict, leaks = split_table(t, chain_strata(p.key, config))[:2]
+            pending.append((counts, strict[Stratum.SECONDARY], leaks - doc_leakage))
+            del strict
+        docs.append((p.key.doc_id, counts, *detection))
         leakage += doc_leakage
-        spurious += t.spurious()
-        del p, t  # not held while the next pair is read
+        spurious += sum(t.response_sizes) - cells
+        del p, t, tables  # not held while the next pair is read
     if not named:
         warnings.warn(
             "no key mention carries is_named; require_named degraded to false "

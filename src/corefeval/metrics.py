@@ -139,10 +139,6 @@ class Overlap(NamedTuple):
     response_sizes: tuple[int, ...]
     rows: tuple[dict[int, int], ...]
 
-    def spurious(self) -> int:
-        """Response mentions that are in no key chain."""
-        return sum(self.response_sizes) - sum(sum(row.values()) for row in self.rows)
-
     def project(self, rows: Sequence[int]) -> "Overlap":
         """Key chains ``rows`` against the response cut to their mentions.
 
@@ -154,15 +150,14 @@ class Overlap(NamedTuple):
         for i in rows:
             for j, v in self.rows[i].items():
                 sums[j] += v
-        index: dict[int, int] = {}
-        for j, total in enumerate(sums):
-            if total:
-                index[j] = len(index)
-        return Overlap(
-            tuple(self.key_sizes[i] for i in rows),
-            tuple(total for total in sums if total),
-            tuple({index[j]: v for j, v in self.rows[i].items()} for i in rows),
-        )
+        return _cut(self, rows, sums)
+
+
+def _cut(t: Overlap, rows: Sequence[int], sums: list[int]) -> Overlap:
+    """``t.project(rows)``, given ``sums``, the column sums over ``rows``."""
+    index = {j: k for k, j in enumerate(j for j, total in enumerate(sums) if total)}
+    cut = tuple({index[j]: v for j, v in t.rows[i].items()} for i in rows)
+    return Overlap(tuple(t.key_sizes[i] for i in rows), tuple(filter(None, sums)), cut)
 
 
 def overlap(key: Partition, response: Partition) -> Overlap:
@@ -460,7 +455,8 @@ def table_tallies(t: Overlap) -> dict[str, int]:
         "response_chains": len(t.response_sizes),
         "key_singletons": t.key_sizes.count(1),
         "response_singletons": t.response_sizes.count(1),
-        "response_spurious": t.spurious(),
+        "response_spurious": sum(t.response_sizes)
+        - sum(sum(row.values()) for row in t.rows),
     }
 
 

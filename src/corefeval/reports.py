@@ -22,12 +22,13 @@ is a field/value list.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from collections.abc import Mapping
 from enum import Enum
 from itertools import islice
-from typing import Optional
+from typing import Iterable, Optional
 
 from .metrics import MetricReport, PathologyReport
 from .stats import StatsReport
@@ -43,7 +44,7 @@ class OutputFormat(str, Enum):
 AVERAGE_LABEL = "conll_avg"
 SCORE_HEADER = ("metric", "recall", "precision", "f1")
 
-Section = tuple[Optional[tuple[str, ...]], list[tuple[str, ...]], int]
+Section = tuple[Optional[tuple[str, ...]], Iterable[tuple[str, ...]], int]
 
 
 def _fmt(value: float) -> str:
@@ -90,18 +91,20 @@ def _table(rows: list[tuple[str, ...]], align_left: int = 1) -> list[str]:
 def _text(sections: list[Section], fmt: OutputFormat) -> str:
     """CSV or table blocks, one per section, separated by a blank line.  A
     field/value section has no header: CSV heads it ``field,value`` and the
-    table prints no header line; with no rows either, it prints nothing."""
-    blocks = []
+    table prints no header line; with no rows either, it prints nothing.
+    CSV writes each row as it comes, so its rows may be lazy (stats series)."""
+    out = io.StringIO()
     for header, rows, align_left in sections:
         if not (header or rows):
             continue
+        if out.tell():
+            out.write("\n\n")
         if fmt is OutputFormat.CSV:
-            lines = [",".join(header or ("field", "value"))]
-            lines.extend(",".join(row) for row in rows)
+            out.write(",".join(header or ("field", "value")))
+            out.writelines("\n" + ",".join(row) for row in rows)
         else:
-            lines = _table(([header] if header else []) + rows, align_left)
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks)
+            out.write("\n".join(_table(([header] if header else []) + rows, align_left)))
+    return out.getvalue()
 
 
 def _metric_rows(report: MetricReport) -> list[tuple[str, ...]]:
@@ -198,7 +201,7 @@ def _stats_layout(report: StatsReport, fmt: OutputFormat) -> list[Section]:
         ]
     sections = [(None, rows, 1)]
     if csv:
-        series = [(str(rank), str(size)) for rank, size in report.rank_size]
+        series = ((str(rank), str(size)) for rank, size in report.rank_size)
         sections.append((("rank", "size"), series, 1))
     return sections
 

@@ -85,8 +85,8 @@ def stats_report(
 class ZipfFit(NamedTuple):
     """OLS fit of log(size) against log(rank).
 
-    ``r_squared`` is None when it is undefined: a single point, or zero
-    size variance (nothing to explain).
+    ``r_squared`` is None when it is undefined: a single point, or every
+    size equal (nothing to explain); the fit is then flat at log(size).
     """
 
     slope: float
@@ -107,9 +107,11 @@ def zipf_fit(series: Sequence[tuple[float, float]]) -> ZipfFit:
     for rank, size in series:
         if rank < 1 or size < 1:
             raise ModelError(f"rank and size must be >= 1, got ({rank}, {size})")
-    n = len(series)  # one point fits with slope 0.0 and r_squared None
+    n = len(series)
     sizes = groupby(map(itemgetter(1), series))
     y, counts = zip(*((math.log(size), len(list(run))) for size, run in sizes))
+    if len(set(y)) == 1:  # one point or one size: nothing to explain
+        return ZipfFit(0.0, y[0], None, n)
 
     def x() -> Iterator[float]:
         return map(math.log, map(itemgetter(0), series))
@@ -124,8 +126,6 @@ def zipf_fit(series: Sequence[tuple[float, float]]) -> ZipfFit:
     slope = sxy / sxx if sxx else 0.0
     intercept = y_mean - slope * x_mean
     ss_tot = math.fsum(per_point([d**2 for d in y_dev]))
-    if ss_tot == 0.0:
-        return ZipfFit(slope, intercept, None, n)
     fitted = map(add, map(mul, repeat(slope), x()), repeat(intercept))
     ss_res = math.fsum(map(pow, map(sub, per_point(y), fitted), repeat(2)))
     r_squared = min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)

@@ -7,13 +7,12 @@ surfaced separately as the leakage count: response chains whose key
 mentions straddle two or more strata.  Response mentions absent from the
 key belong to no stratum; their count is reported alongside.
 
-``chain_strata`` labels each key chain, in table row order; every other
-function groups by its labels.  Everything here derives from the
-document's one overlap table: a stratum is the projection of the table
-onto its key rows (``stratum_tables``), and leakage and singleton
-detection read the table's cells.  ``stratum_pairs`` builds the same
-strata as partitions; it is the reference the table path is tested
-against.  ``corpus.stratify_corpus`` holds the require_named degrade.
+``chain_strata`` labels each key chain, in table row order, and
+``split_table`` reads the rest off the document's one overlap table in
+one walk of its rows, grouped by whatever labels it is given.
+``stratum_pairs`` builds the same strata as partitions; it is the
+reference the table path is tested against.  ``corpus.stratify_corpus``
+holds the require_named degrade.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ModelError
-from .metrics import MetricReport, Overlap, PRCounts
+from .metrics import MetricReport, Overlap, PRCounts, _cut
 from .model import Partition, ScoreTriple, check_same_doc, checked_tuple, project
 
 
@@ -64,30 +63,6 @@ def chain_strata(key: Partition, config: StratumConfig) -> list[Stratum]:
     ]
 
 
-def table_singleton_detection(t: Overlap) -> PRCounts:
-    """Key singletons whose one cell lands in a response singleton, over
-    the key and the response singleton counts."""
-    found = sum(
-        1
-        for n, row in zip(t.key_sizes, t.rows)
-        if n == 1 and any(t.response_sizes[j] == 1 for j in row)
-    )
-    return PRCounts(found, t.key_sizes.count(1), found, t.response_sizes.count(1))
-
-
-def table_leakage(t: Overlap, strata: Sequence[Stratum]) -> int:
-    """Response columns with cells in rows of two or more strata.
-
-    ``strata`` labels the table's rows.  Response-only mentions lie in no
-    cell, so they carry no stratum label and are ignored here.
-    """
-    seen: list[set[Stratum]] = [set() for _ in t.response_sizes]
-    for stratum, row in zip(strata, t.rows):
-        for j in row:
-            seen[j].add(stratum)
-    return sum(len(labels) >= 2 for labels in seen)
-
-
 class StratifiedReport(NamedTuple):
     """Per-stratum scores plus the cross-stratum diagnostics.
 
@@ -119,15 +94,28 @@ def stratum_pairs(
     return out
 
 
-def stratum_tables(t: Overlap, strata: Sequence[Stratum]) -> dict[Stratum, Overlap]:
-    """Per-stratum projections of the table, non-empty strata only.
-
-    ``strata`` labels the table's rows; the result scores exactly as the
-    ``stratum_pairs`` slices of the same document do.
-    """
-    out: dict[Stratum, Overlap] = {}
-    for stratum in Stratum:
-        rows = [i for i, s in enumerate(strata) if s is stratum]
-        if rows:
-            out[stratum] = t.project(rows)
-    return out
+def split_table(t: Overlap, labels: Sequence) -> tuple[dict, int, PRCounts, int]:
+    """One walk of the rows, row i labelled ``labels[i]``, gives the table's
+    projection for each label that has rows (in first-row order; it scores
+    as the ``stratum_pairs`` slice does), the leakage (columns with cells in
+    rows of two or more labels), singleton detection (key singletons whose
+    one cell lies in a response singleton, over both singleton counts) and
+    the total of the cells."""
+    groups: dict = {}  # label: (its rows, their column sums)
+    found = 0
+    for i, (label, n, row) in enumerate(zip(labels, t.key_sizes, t.rows)):
+        if label not in groups:
+            groups[label] = ([], [0] * len(t.response_sizes))
+        rows, sums = groups[label]
+        rows.append(i)
+        for j, v in row.items():
+            sums[j] += v
+        if n == 1:
+            found += any(t.response_sizes[j] == 1 for j in row)
+    column_sums = [sums for _, sums in groups.values()]
+    return (
+        {label: _cut(t, *group) for label, group in groups.items()},
+        sum(sum(map(bool, column)) >= 2 for column in zip(*column_sums)),
+        PRCounts(found, t.key_sizes.count(1), found, t.response_sizes.count(1)),
+        sum(map(sum, column_sums)),
+    )

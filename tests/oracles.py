@@ -180,18 +180,16 @@ ORACLES = {
 def zipf_fit(series) -> tuple[float, float, float | None, int]:
     """(slope, intercept, r_squared, n_points) of log(size) on log(rank)."""
     points = list(series)
-    if len(points) == 1:
-        return 0.0, math.log(points[0][1]), None, 1
     x = [math.log(rank) for rank, _ in points]
     y = [math.log(size) for _, size in points]
+    if len(set(y)) == 1:  # one point or one size: r_squared is undefined
+        return 0.0, y[0], None, len(points)
     x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
     sxx = math.fsum((a - x_mean) ** 2 for a in x)
     sxy = math.fsum((a - x_mean) * (b - y_mean) for a, b in zip(x, y))
     slope = sxy / sxx if sxx else 0.0
     intercept = y_mean - slope * x_mean
     ss_tot = math.fsum((b - y_mean) ** 2 for b in y)
-    if ss_tot == 0.0:
-        return slope, intercept, None, len(points)
     ss_res = math.fsum((b - (slope * a + intercept)) ** 2 for a, b in zip(x, y))
     r_squared = min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
     return slope, intercept, r_squared, len(points)

@@ -3,9 +3,10 @@
 Each partition-level function follows its definition directly over what
 a partition stores: ``chain_ids``, ``spans`` (per-chain sorted span tuples)
 and ``named`` (the spans flagged is_named).  Strata are returned as their
-plain names.  The table-level functions at the end compute MUC, B3, LEA
-and BLANC counts one metric at a time, with a transposed copy of the
-table, and the CEAF matching with a full heap search for every key chain.
+plain names.  The table-level functions at the end compute leakage and
+singleton detection from a labelled table, MUC, B3, LEA and BLANC counts
+one metric at a time, with a transposed copy of the table, and the CEAF
+matching with a full heap search for every key chain.
 Like ``oracles.py``, this module imports no scoring code from the
 package, so the checks against it are not self-comparisons.
 """
@@ -72,9 +73,33 @@ def spurious(key, response) -> int:
 
 # Overlap-table references.  These read only a table's ``key_sizes``,
 # ``response_sizes`` and ``rows`` (rows[i] maps a response chain index to
-# the number of mentions key chain i shares with it), as the metric code
-# did before it derived MUC, B3, LEA and BLANC from one walk of the cells
-# and before ``_align`` matched a row at its first pop without a heap.
+# the number of mentions key chain i shares with it).  Leakage and singleton
+# detection each take a walk of their own, as ``stratify_corpus`` did before
+# one walk of the labelled rows gave both with the projections.  The metric
+# counts follow the metric code as it was before it derived MUC, B3, LEA
+# and BLANC from one walk of the cells and before ``_align`` matched a row
+# at its first pop without a heap.
+
+
+def table_leakage(t, labels) -> int:
+    """Response columns with cells in rows of two or more labels;
+    ``labels[i]`` labels row i."""
+    seen = [set() for _ in t.response_sizes]
+    for label, row in zip(labels, t.rows):
+        for j in row:
+            seen[j].add(label)
+    return sum(len(row_labels) >= 2 for row_labels in seen)
+
+
+def table_singleton_detection(t) -> tuple[int, int, int, int]:
+    """Key singletons whose one cell lands in a response singleton, over
+    the key and the response singleton counts."""
+    found = sum(
+        1
+        for n, row in zip(t.key_sizes, t.rows)
+        if n == 1 and any(t.response_sizes[j] == 1 for j in row)
+    )
+    return found, t.key_sizes.count(1), found, t.response_sizes.count(1)
 
 
 def pairs(n: int) -> int:

@@ -452,6 +452,25 @@ class TestStatsCommand:
         assert rc == 0
         assert data["exclude_singletons"] is True
 
+    def test_equal_chain_sizes_print_no_r_squared(self, tmp_path, capsys):
+        """Three chains of six mentions: the mean of their log sizes does
+        not round back to log 6, and the fit still has nothing to explain."""
+        chains = [
+            {"chain_id": str(c), "mentions": [{"start": t, "end": t} for t in tokens]}
+            for c, tokens in enumerate((range(0, 6), range(6, 12), range(12, 18)))
+        ]
+        key = tmp_path / "key.jsonl"
+        record = {"doc_id": "d", "num_tokens": 18, "chains": chains}
+        key.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["stats", "--key", str(key)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-4:] == [
+            "zipf_slope               0.0000",
+            "zipf_intercept           1.7918",
+            "zipf_r_squared              n/a",
+            "zipf_points                   3",
+        ]
+
 
 class TestPathologyCommand:
     def test_csv_shows_deltas_and_removals(self, fixtures_dir, capsys):

@@ -11,6 +11,7 @@ import oracles
 from corefeval import (
     EmptySeries,
     ModelError,
+    ZipfFit,
     stats_report,
     zipf_fit,
 )
@@ -149,9 +150,11 @@ class TestZipfFit:
         assert fit.n_points == 1
 
     def test_constant_sizes_have_undefined_r_squared(self):
-        fit = zipf_fit([(1, 4), (2, 4), (3, 4)])
-        assert fit.slope == 0.0
-        assert fit.r_squared is None
+        """Whether or not the mean of the equal logs rounds back to the log
+        (it does for 4, not for 6), the fit is flat at log(size)."""
+        for size in (4, 6, 6.5):
+            fit = zipf_fit([(1, size), (2, size), (3, size)])
+            assert fit == ZipfFit(0.0, math.log(size), None, 3)
 
     def test_exact_power_law_recovered(self):
         amplitude, exponent = 250.0, -1.2
@@ -192,8 +195,7 @@ class TestZipfFit:
     )
     def test_rank_size_fit_matches_the_oracle(self, sizes, exclude, flat_size, flat_count):
         """Histograms of random chains, with and without the singleton tail,
-        one point, and all sizes equal (r_squared None when the mean log
-        size is exact, as for (4, 4, 4))."""
+        one point, and all sizes equal (r_squared None for every size)."""
         for doc in (sizes, [flat_size], [flat_size] * flat_count):
             report = stats_report(corpus({"d": doc}), exclude_singletons=exclude)
             if report.rank_size:

@@ -38,7 +38,7 @@ from corefeval.corpus import pair_documents, read_corpus
 from corefeval.metrics import overlap
 from corefeval.model import DocumentBuilder
 from corefeval.reports import emit_report
-from corefeval.stratify import chain_strata, stratum_tables
+from corefeval.stratify import chain_strata, split_table
 
 import streaming_corpus
 from streaming_corpus import corpus_text, degrade_run, pairing_run
@@ -191,8 +191,9 @@ def _peak(run, *args) -> tuple[object, int]:
 # included), and for stats the rank-size points of its 40 chains.  Measured
 # at 64 documents against 4, Python 3.10 to 3.13: at most 2.6 KB per extra
 # document in every case below but stats JSON, which prints every point and
-# takes 5.0 KB.  The allowances add a 35% margin.  A parsed document of
-# this corpus, both sides, takes about 35 KB.
+# takes 5.0 KB, and stats CSV, which prints every point too, one row at a
+# time.  The allowances add a 35% margin.  A parsed document of this
+# corpus, both sides, takes about 35 KB.
 ALLOWANCE_PER_DOC = 3_500
 PRINTED_SERIES_PER_DOC = 3_200
 
@@ -203,6 +204,7 @@ MEMORY_CASES = {
     **{command: (command, "jsonl", 0, "table") for command in COMMANDS},
     "stratify-conll": ("stratify", "conll", None, "table"),
     "stats-json": ("stats", "jsonl", 0, "json"),
+    "stats-csv": ("stats", "jsonl", 0, "csv"),
 }
 
 
@@ -227,7 +229,7 @@ def test_peak_memory_does_not_grow_with_the_parsed_corpus(case, tmp_path, capsys
         rc, peaks[copies] = _peak(main, argv)
         capsys.readouterr()
         assert rc == 0
-    allowance = ALLOWANCE_PER_DOC + (PRINTED_SERIES_PER_DOC if output == "json" else 0)
+    allowance = ALLOWANCE_PER_DOC + (PRINTED_SERIES_PER_DOC if output != "table" else 0)
     assert peaks[16] - peaks[1] <= 60 * allowance, peaks
 
 
@@ -298,7 +300,7 @@ def test_unnamed_conll_never_scores_a_non_degraded_table(tmp_path, monkeypatch, 
     labels = [chain_strata(p.key, degraded) for p in pairs]
     assert any(Stratum.MAJOR in doc for doc in labels)
     tables = sum(
-        len(stratum_tables(overlap(p.key, p.response), doc))
+        len(split_table(overlap(p.key, p.response), doc)[0])
         for p, doc in zip(pairs, labels)
     )
     scored = []
@@ -315,10 +317,10 @@ def test_conll_stratify_labels_and_tables_each_document_once(
     tmp_path, monkeypatch, capsys
 ):
     """A CoNLL key carries no names, so stratify labels every document with
-    the degraded config from the first pair: one labelling, one set of
-    stratum tables and one leakage count per document, and no table under
-    the strict labelling.  The warning and the report's config are as when
-    the degrade is found at the end."""
+    the degraded config from the first pair: one labelling and one walk of
+    its labelled table per document, and no walk under the strict
+    labelling.  The warning and the report's config are as when the
+    degrade is found at the end."""
     docs = range(6)
     key, response = _write(
         tmp_path,
@@ -326,16 +328,16 @@ def test_conll_stratify_labels_and_tables_each_document_once(
         corpus_text("conll", "key", docs),
         corpus_text("conll", "response", docs),
     )
-    calls = {"chain_strata": [], "stratum_tables": [], "table_leakage": []}
+    calls = {"chain_strata": [], "split_table": []}
     for name, seen in calls.items():
         real = getattr(corpus_mod, name)
         spy = lambda *args, real=real, seen=seen: seen.append(args[1]) or real(*args)
         monkeypatch.setattr(corpus_mod, name, spy)
     assert main(["stratify", "--key", str(key), "--response", str(response)]) == 0
     out, err = capsys.readouterr()
-    assert [len(seen) for seen in calls.values()] == [len(docs)] * 3
+    assert [len(seen) for seen in calls.values()] == [len(docs)] * 2
     assert not any(config.require_named for config in calls["chain_strata"])
-    assert any(Stratum.MAJOR in labels for labels in calls["stratum_tables"])
+    assert any(Stratum.MAJOR in labels for labels in calls["split_table"])
     assert err == (
         f"warning: {key}: no key mention carries is_named; require_named "
         "degraded to false for this corpus\n"
@@ -348,3 +350,28 @@ def test_conll_stratify_labels_and_tables_each_document_once(
         late = stratify_corpus(pairs)  # no format: the degrade is found at the end
     assert late.config == StratumConfig(require_named=False)
     assert out == emit_report(late, "table") + "\n"
+
+
+def test_jsonl_stratify_walks_a_table_twice_only_until_a_name_is_seen(
+    tmp_path, monkeypatch, capsys
+):
+    """A jsonl key may name a mention late.  Until one turns up, each
+    document with a major chain is walked once more, under the strict
+    labelling, which has no major chain; from the named document on, each
+    document is walked once."""
+    docs = range(6)
+    key, response = _write(
+        tmp_path,
+        "jsonl",
+        corpus_text("jsonl", "key", docs, named=3),
+        corpus_text("jsonl", "response", docs),
+    )
+    walks = []
+    real = corpus_mod.split_table
+    monkeypatch.setattr(
+        corpus_mod, "split_table", lambda t, labels: walks.append(labels) or real(t, labels)
+    )
+    assert main(["stratify", "--key", str(key), "--response", str(response)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(walks) == len(docs) + 3  # documents 0 to 2 twice
+    assert [Stratum.MAJOR in labels for labels in walks[:6]] == [True, False] * 3

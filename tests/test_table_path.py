@@ -5,14 +5,16 @@ table per document; ``stratum_pairs`` and ``remove_spurious`` build the
 same inputs as partitions.  Both must give equal counts, reports and
 diagnostics, compared with ``==``, for all six metrics under both
 averagings.  Strata, leakage, singleton detection and the spurious count
-are checked against ``reference.py``, which reads the partitions' spans.
+are checked against ``reference.py``, which reads the partitions' spans;
+the one walk of a labelled table (``split_table``) also against
+``reference.py``'s separate walks of random tables and their cell sums.
 The MUC, B3, LEA and BLANC counts of one cell walk must equal, with
 ``==``, the per-metric walks over a transposed table in ``reference.py``.
 """
 
 import warnings
 
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import helpers
 import reference
@@ -29,13 +31,7 @@ from corefeval import (
     stratify_corpus,
 )
 from corefeval.metrics import overlap, table_counts, table_tallies
-from corefeval.stratify import (
-    chain_strata,
-    stratum_pairs,
-    stratum_tables,
-    table_leakage,
-    table_singleton_detection,
-)
+from corefeval.stratify import chain_strata, split_table, stratum_pairs
 
 
 def partition_counts(key, resp):
@@ -49,7 +45,7 @@ def test_document_projections_match_rebuilt_partitions(corpus):
         t = overlap(p.key, p.response)
         labels = chain_strata(p.key, config)
         assert labels == reference.strata(p.key, config)
-        tables = stratum_tables(t, labels)
+        tables, leakage, detection, cells = split_table(t, labels)
         rebuilt = stratum_pairs(p.key, p.response, config)
         assert tables.keys() == rebuilt.keys()
         for stratum, (key, resp) in rebuilt.items():
@@ -57,17 +53,29 @@ def test_document_projections_match_rebuilt_partitions(corpus):
                 key, resp
             )
             assert table_tallies(tables[stratum]) == partition_tallies(key, resp)
-        assert table_leakage(t, labels) == reference.leakage(
-            p.key, p.response, config
-        )
-        assert table_singleton_detection(t) == reference.singleton_detection(
-            p.key, p.response
-        )
-        assert t.spurious() == reference.spurious(p.key, p.response)
+        assert leakage == reference.leakage(p.key, p.response, config)
+        assert detection == reference.singleton_detection(p.key, p.response)
+        spurious = reference.spurious(p.key, p.response)
+        assert sum(t.response_sizes) - cells == spurious
+        assert table_tallies(t)["response_spurious"] == spurious
         cleaned = remove_spurious(p.response, p.key)
         after = t.project(range(len(t.rows)))
         assert table_counts(after, ALL_METRICS) == partition_counts(p.key, cleaned)
         assert table_tallies(after) == partition_tallies(p.key, cleaned)
+
+
+@given(st.data())
+def test_one_walk_matches_separate_walks_on_random_tables(data):
+    t = data.draw(helpers.overlap_tables())
+    n = len(t.rows)
+    labels = data.draw(st.lists(st.sampled_from(Stratum), min_size=n, max_size=n))
+    tables, leakage, detection, cells = split_table(t, labels)
+    assert list(tables) == list(dict.fromkeys(labels))
+    for label, projected in tables.items():
+        assert projected == t.project([i for i in range(n) if labels[i] is label])
+    assert leakage == reference.table_leakage(t, labels)
+    assert detection == reference.table_singleton_detection(t)
+    assert cells == sum(sum(row.values()) for row in t.rows)
 
 
 @given(helpers.corpora())
@@ -123,5 +131,5 @@ def test_one_walk_matches_per_metric_walks_on_document_projections(corpus):
         t = overlap(p.key, p.response)
         assert_one_walk_matches_per_metric_walks(t)
         assert_one_walk_matches_per_metric_walks(t.project(range(len(t.rows))))
-        for projected in stratum_tables(t, chain_strata(p.key, config)).values():
+        for projected in split_table(t, chain_strata(p.key, config))[0].values():
             assert_one_walk_matches_per_metric_walks(projected)

@@ -23,11 +23,12 @@ spurious-mention removal.  No partition is rebuilt on any of these paths.
 Counts are kept as one record per document, ``(doc_id, {label: fields})``,
 the fields of a label one flat tuple of numbers (``_doc_counts``), and one
 reduction sorts the records by doc id, so floats add in one order whatever
-the order of the pairs, then reduces each label (``score``; ``before`` and
-``after``; each stratum present) over the documents that have it.  Micro
-averaging sums each metric's numerators and denominators before dividing;
-macro averaging takes the component-wise mean of per-document triples (F1
-too, not recomputed from the means).  To score one document, pass a corpus
+the order of the pairs, then sums each field of each label (``score``;
+``before`` and ``after``; each stratum present) once, left to right from 0,
+over the documents that have it (``_sums``).  The tallies are those sums;
+micro averaging scores the triples of the summed record, macro averaging
+takes the mean of per-document triples (F1 too, not recomputed from the
+means), both through ``_mean``.  To score one document, pass a corpus
 of one pair, ``[DocPair(key, response)]``, to ``score_corpus``,
 ``stratify_corpus`` or ``pathology_corpus``; the require_named degrade then
 reads that document.
@@ -35,10 +36,11 @@ reads that document.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import operator
 import warnings
 from enum import Enum
+from functools import reduce
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -57,10 +59,8 @@ from .metrics import (
     _conll_avg,
     normalize_metrics,
     overlap,
-    recall_deltas,
     table_counts,
     table_tallies,
-    zero_counts,
 )
 from .model import (
     CorpusSource,
@@ -190,17 +190,16 @@ def _counts(metric: MetricId, fields: tuple) -> MetricCounts:
     return PRCounts(*fields)
 
 
-def _average(
-    counts: Iterable[MetricCounts], zero: MetricCounts, averaging: Averaging
-) -> ScoreTriple:
-    """Micro: one triple from the summed counts.  Macro: the mean triple."""
-    if averaging is Averaging.MICRO:
-        return functools.reduce(operator.add, counts, zero).triple()
-    triples = [c.triple() for c in counts]
+def _sums(rows: list, width: int) -> list:
+    """Each field added left to right from 0: sum() compensates floats since 3.12."""
+    return [reduce(operator.add, (r[i] for r in rows), 0) for i in range(width)]
+
+
+def _mean(triples: list[ScoreTriple]) -> ScoreTriple:
+    """The mean of the summed counts' triple (micro) or of each document's (macro)."""
     if not triples:
         return ZERO_TRIPLE
-    n = len(triples)  # columns add left to right: sum() compensates since 3.12
-    return ScoreTriple(*(functools.reduce(operator.add, c, 0) / n for c in zip(*triples)))
+    return ScoreTriple(*(s / len(triples) for s in _sums(triples, 3)))
 
 
 def _reduce(
@@ -212,15 +211,17 @@ def _reduce(
     their order), so every float, here and in the caller's own averages
     over them, adds in the same order on every run."""
     docs.sort(key=operator.itemgetter(0))
+    ends = [0, *itertools.accumulate(8 if m is MetricId.BLANC else 4 for m in wanted)]
     reports = {}
     for label in labels:
         records = [doc[1][label] for doc in docs if label in doc[1]]
-        scores, start = {}, 0
-        for m in wanted:
-            end = start + (8 if m is MetricId.BLANC else 4)
-            counts = (_counts(m, r[start:end]) for r in records)
-            scores[m], start = _average(counts, zero_counts(m), averaging), end
-        tallies = {k: sum(r[i] for r in records) for i, k in enumerate(TALLY_KEYS, start)}
+        total = _sums(records, ends[-1] + len(TALLY_KEYS))
+        scored = [total] if averaging is Averaging.MICRO else records
+        scores = {
+            m: _mean([_counts(m, r[a:b]).triple() for r in scored])
+            for m, a, b in zip(wanted, ends, ends[1:])
+        }
+        tallies = dict(zip(TALLY_KEYS, total[ends[-1]:]))
         reports[label] = MetricReport(scores, _conll_avg(scores), tallies)
     return reports
 
@@ -291,10 +292,12 @@ def stratify_corpus(
             stacklevel=2,
         )
     present = [s for s in Stratum if any(s in doc[1] for doc in docs)]
-    detection = (PRCounts(*doc[2:]) for doc in docs)
+    per_stratum = _reduce(docs, present, wanted, averaging)  # sorts docs
+    detection = [doc[2:] for doc in docs]
+    scored = [_sums(detection, 4)] if averaging is Averaging.MICRO else detection
     return StratifiedReport(
-        per_stratum=_reduce(docs, present, wanted, averaging),
-        singleton_detection=_average(detection, PRCounts(), averaging),
+        per_stratum=per_stratum,
+        singleton_detection=_mean([PRCounts(*d).triple() for d in scored]),
         leakage=leakage,
         config=labelling,
         spurious_mentions=spurious,
@@ -318,13 +321,12 @@ def pathology_corpus(
     for p in pairs:
         t = overlap(p.key, p.response)
         before = _doc_counts(t, wanted)
-        t = t.project(range(len(t.rows)))
+        t = split_table(t, [None] * len(t.rows))[0].get(None, Overlap((), (), ()))
         docs.append((p.key.doc_id, {"before": before, "after": _doc_counts(t, wanted)}))
         del p, t  # not held while the next pair is read
     before, after = _reduce(docs, ["before", "after"], wanted, averaging).values()
-    return PathologyReport(
-        before, after, recall_deltas(before, after), before.counts["response_spurious"]
-    )
+    deltas = {m: after.scores[m].recall - before.scores[m].recall for m in wanted}
+    return PathologyReport(before, after, deltas, before.counts["response_spurious"])
 
 
 def corpus_stats_report(

@@ -6,7 +6,7 @@ response)``: the key and response chain sizes plus the non-zero cells
 and columns in each partition's canonical chain order.  Every command
 derives from that one table: ``score`` reads the six metrics and the
 tallies off it, and the stratify strata and the pathology "after" pass
-are its row projections (``Overlap.project``), so no partition is rebuilt.
+are row projections of it (``stratify.split_table``); no partition is rebuilt.
 MUC, B3, LEA and BLANC read per-chain sums from one walk of the cells
 (``_walk``); one function gives MUC, B3 and LEA recall from the row sums
 and precision from the column sums, so precision(key, response) equals
@@ -138,26 +138,6 @@ class Overlap(NamedTuple):
     key_sizes: tuple[int, ...]
     response_sizes: tuple[int, ...]
     rows: tuple[dict[int, int], ...]
-
-    def project(self, rows: Sequence[int]) -> "Overlap":
-        """Key chains ``rows`` against the response cut to their mentions.
-
-        Response sizes become the column sums over the kept rows and
-        all-zero columns are dropped.  Rows, columns and cells keep their
-        order, so the metrics add up as on the cut partitions' own table.
-        """
-        sums = [0] * len(self.response_sizes)
-        for i in rows:
-            for j, v in self.rows[i].items():
-                sums[j] += v
-        return _cut(self, rows, sums)
-
-
-def _cut(t: Overlap, rows: Sequence[int], sums: list[int]) -> Overlap:
-    """``t.project(rows)``, given ``sums``, the column sums over ``rows``."""
-    index = {j: k for k, j in enumerate(j for j, total in enumerate(sums) if total)}
-    cut = tuple({index[j]: v for j, v in t.rows[i].items()} for i in rows)
-    return Overlap(tuple(t.key_sizes[i] for i in rows), tuple(filter(None, sums)), cut)
 
 
 def overlap(key: Partition, response: Partition) -> Overlap:
@@ -412,10 +392,6 @@ def lea(key: Partition, response: Partition) -> ScoreTriple:
     return metric_counts(MetricId.LEA, key, response).triple()
 
 
-def zero_counts(metric: MetricId) -> MetricCounts:
-    return BlancCounts() if metric is MetricId.BLANC else PRCounts()
-
-
 def normalize_metrics(metrics: Optional[Iterable[MetricId | str]]) -> tuple[MetricId, ...]:
     """Requested metrics in canonical order, defaulting to all six."""
     if metrics is None:
@@ -482,7 +458,7 @@ def _conll_avg(scores: Mapping[MetricId, ScoreTriple]) -> Optional[float]:
     if any(m not in scores for m in CONLL_METRICS):
         return None
     muc, b3, ceaf_e = (scores[m].f1 for m in CONLL_METRICS)
-    return (muc + b3 + ceaf_e) / len(CONLL_METRICS)  # not sum(): see corpus._average
+    return (muc + b3 + ceaf_e) / len(CONLL_METRICS)  # not sum(): see corpus._sums
 
 
 def remove_spurious(response: Partition, key: Partition) -> Partition:
@@ -503,13 +479,3 @@ class PathologyReport(NamedTuple):
     after: MetricReport
     recall_deltas: Mapping[MetricId, float]
     removed_mentions: int
-
-
-def recall_deltas(
-    before: MetricReport, after: MetricReport
-) -> dict[MetricId, float]:
-    return {
-        m: after.scores[m].recall - before.scores[m].recall
-        for m in before.scores
-        if m in after.scores
-    }

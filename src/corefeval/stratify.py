@@ -8,9 +8,9 @@ mentions straddle two or more strata.  Response mentions absent from the
 key belong to no stratum; their count is reported alongside.
 
 ``chain_strata`` labels each key chain, in table row order, and
-``split_table`` reads the rest off the document's one overlap table in
-one walk of its rows, grouped by whatever labels it is given.
-``stratum_pairs`` builds the same strata as partitions; it is the
+``split_table``, the package's only table projection (pathology gives all
+rows one label), reads the rest off one walk of the rows, grouped by the
+labels.  ``stratum_pairs`` builds the same strata as partitions, the
 reference the table path is tested against.  ``corpus.stratify_corpus``
 holds the require_named degrade.
 """
@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ModelError
-from .metrics import MetricReport, Overlap, PRCounts, _cut
+from .metrics import MetricReport, Overlap, PRCounts
 from .model import Partition, ScoreTriple, check_same_doc, checked_tuple, project
 
 
@@ -100,7 +100,8 @@ def split_table(t: Overlap, labels: Sequence) -> tuple[dict, int, PRCounts, int]
     as the ``stratum_pairs`` slice does), the leakage (columns with cells in
     rows of two or more labels), singleton detection (key singletons whose
     one cell lies in a response singleton, over both singleton counts) and
-    the total of the cells."""
+    the total of the cells.  A projection keeps its rows and the columns
+    with cells in them, sized by those cells, all in table order."""
     groups: dict = {}  # label: (its rows, their column sums)
     found = 0
     for i, (label, n, row) in enumerate(zip(labels, t.key_sizes, t.rows)):
@@ -112,9 +113,15 @@ def split_table(t: Overlap, labels: Sequence) -> tuple[dict, int, PRCounts, int]
             sums[j] += v
         if n == 1:
             found += any(t.response_sizes[j] == 1 for j in row)
+    tables = {}
+    for label, (rows, sums) in groups.items():
+        index = {j: k for k, j in enumerate(j for j, total in enumerate(sums) if total)}
+        cut = tuple({index[j]: v for j, v in t.rows[i].items()} for i in rows)
+        keys = tuple(t.key_sizes[i] for i in rows)
+        tables[label] = Overlap(keys, tuple(filter(None, sums)), cut)
     column_sums = [sums for _, sums in groups.values()]
     return (
-        {label: _cut(t, *group) for label, group in groups.items()},
+        tables,
         sum(sum(map(bool, column)) >= 2 for column in zip(*column_sums)),
         PRCounts(found, t.key_sizes.count(1), found, t.response_sizes.count(1)),
         sum(map(sum, column_sums)),

@@ -3,10 +3,11 @@
 Each partition-level function follows its definition directly over what
 a partition stores: ``chain_ids``, ``spans`` (per-chain sorted span tuples)
 and ``named`` (the spans flagged is_named).  Strata are returned as their
-plain names.  The table-level functions at the end compute leakage and
-singleton detection from a labelled table, MUC, B3, LEA and BLANC counts
-one metric at a time, with a transposed copy of the table, and the CEAF
-matching with a full heap search for every key chain.
+plain names.  The table-level functions at the end compute a row
+projection, leakage and singleton detection from a labelled table, MUC,
+B3, LEA and BLANC counts one metric at a time, with a transposed copy of
+the table, and the CEAF matching with a full heap search for every key
+chain.
 Like ``oracles.py``, this module imports no scoring code from the
 package, so the checks against it are not self-comparisons.
 """
@@ -79,6 +80,19 @@ def spurious(key, response) -> int:
 # counts follow the metric code as it was before it derived MUC, B3, LEA
 # and BLANC from one walk of the cells and before ``_align`` matched a row
 # at its first pop without a heap.
+
+
+def project(t, rows) -> tuple:
+    """Key chains ``rows`` against the response chains they share a mention
+    with, renumbered in column order, each sized by the mentions it shares
+    with them: ``(key_sizes, response_sizes, rows)``."""
+    columns = sorted({j for i in rows for j in t.rows[i]})
+    renumbered = {j: k for k, j in enumerate(columns)}
+    return (
+        tuple(t.key_sizes[i] for i in rows),
+        tuple(sum(t.rows[i].get(j, 0) for i in rows) for j in columns),
+        tuple({renumbered[j]: v for j, v in t.rows[i].items()} for i in rows),
+    )
 
 
 def table_leakage(t, labels) -> int:

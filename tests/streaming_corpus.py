@@ -90,8 +90,9 @@ DEGRADE_CASES = {"named_last": 2, "unnamed": None}
 DEGRADE_ORDER = [3, 1, 4, 2]
 
 
-def pairing_run(tmp, fmt: str, case: str, command: str) -> list[str]:
-    """Write one pairing case under ``tmp``; the CLI arguments that score it."""
+def pairing_run(tmp, fmt: str, case: str, command: str, *flags: str) -> list[str]:
+    """Write one pairing case under ``tmp``; the CLI arguments that run
+    ``command`` on it (``stats`` reads the key only), then ``flags``."""
     key_docs, response_docs, extra = PAIRING_CASES[case]
     key, response = tmp / f"key.{fmt}", tmp / f"response.{fmt}"
     key.write_text(corpus_text(fmt, "key", key_docs), encoding="utf-8")
@@ -99,7 +100,10 @@ def pairing_run(tmp, fmt: str, case: str, command: str) -> list[str]:
         corpus_text(fmt, "response", response_docs, extra_tokens=extra),
         encoding="utf-8",
     )
-    return [command, "--key", str(key), "--response", str(response)]
+    paths = ["--key", str(key)]
+    if command != "stats":
+        paths += ["--response", str(response)]
+    return [command, *paths, *flags]
 
 
 def degrade_run(tmp, case: str, output: str, averaging: str) -> list[str]:
@@ -116,6 +120,38 @@ def degrade_run(tmp, case: str, output: str, averaging: str) -> list[str]:
     ]
 
 
+# The metric subset whose BLANC fields sit in the middle of a document's
+# counts, not at the end as with all six metrics.
+SUBSET = "ceaf_e,muc,blanc"
+
+
+def flag_runs():
+    """(name, format, command, flags) of the pinned runs with flags, all on
+    the ``reversed`` case: both averagings with all metrics and with
+    ``SUBSET``, a stratify labelling with no named mention needed, and
+    ``stats`` without singletons."""
+    for fmt in ("jsonl", "conll"):
+        for command in ("score", "stratify", "pathology"):
+            for averaging in ("micro", "macro"):
+                for metrics in (None, SUBSET):
+                    flags = ["--output", "json", "--averaging", averaging]
+                    if metrics:
+                        flags += ["--metrics", metrics]
+                    name = f"{fmt}/reversed/{command}/json/{averaging}"
+                    yield name + (f"/{metrics}" if metrics else ""), fmt, command, flags
+        for output in ("json", "table"):
+            flags = ["--output", output, "--no-require-named", "--long-threshold", "3"]
+            yield f"{fmt}/reversed/stratify/{output}/long3", fmt, "stratify", flags
+        for output in ("json", "csv", "table"):
+            flags = ["--output", output, "--exclude-singletons"]
+            yield f"{fmt}/reversed/stats/{output}/exclude-singletons", fmt, "stats", flags
+    for command in ("score", "stratify", "pathology"):
+        for output in ("table", "csv"):
+            flags = ["--output", output, "--averaging", "macro", "--metrics", SUBSET]
+            name = f"jsonl/reversed/{command}/{output}/macro/{SUBSET}"
+            yield name, "jsonl", command, flags
+
+
 def recorded_runs():
     """(name, writer) for every run whose output is pinned; each writer takes
     a directory and returns the CLI arguments."""
@@ -126,6 +162,10 @@ def recorded_runs():
                 yield f"{fmt}/{case}/{command}", (
                     lambda tmp, f=fmt, c=case, m=command: pairing_run(tmp, f, c, m)
                 )
+    for name, fmt, command, flags in flag_runs():
+        yield name, (
+            lambda tmp, f=fmt, m=command, a=flags: pairing_run(tmp, f, "reversed", m, *a)
+        )
     for case in DEGRADE_CASES:
         for output in ("json", "csv", "table"):
             for averaging in ("micro", "macro"):

@@ -8,10 +8,12 @@ import helpers
 import oracles
 from corefeval import (
     Averaging,
+    BlancCounts,
     CorpusSource,
     DocMismatch,
     DocPair,
     MetricId,
+    PRCounts,
     Role,
     SourceFormat,
     Stratum,
@@ -26,8 +28,8 @@ from corefeval import (
 )
 from corefeval.conll import parse_conll
 from corefeval.jsonl import parse_jsonl
-from corefeval.corpus import _average
-from corefeval.metrics import CONLL_METRICS, _conll_avg, metric_counts, zero_counts
+from corefeval.corpus import _mean
+from corefeval.metrics import CONLL_METRICS, _conll_avg, metric_counts
 from corefeval.model import ScoreTriple
 
 DOC1_KEY = {"k1": frozenset({1, 2, 3}), "k2": frozenset({4, 5})}
@@ -95,15 +97,20 @@ class TestPairing:
 
 
 class TestScoreCorpus:
-    def test_micro_sums_counts_before_dividing(self):
-        pairs = two_doc_pairs()
-        report = score_corpus(pairs, averaging=Averaging.MICRO)
-        expected = {m: zero_counts(m) for m in MetricId}
-        for pair in pairs:
-            for m in MetricId:
-                expected[m] += metric_counts(m, pair.key, pair.response)
-        for metric, counts in expected.items():
-            assert report.scores[metric] == counts.triple()
+    @given(helpers.corpora())
+    def test_micro_sums_counts_before_dividing(self, corpus):
+        """Micro scores are, bit for bit, the triples of the per-document
+        counts added with ``+`` from zero counts in doc-id order."""
+        for pairs in (two_doc_pairs(), corpus[0]):
+            report = score_corpus(pairs, averaging=Averaging.MICRO)
+            expected = {
+                m: BlancCounts() if m is MetricId.BLANC else PRCounts() for m in MetricId
+            }
+            for pair in sorted(pairs, key=lambda p: p.key.doc_id):
+                for m in MetricId:
+                    expected[m] += metric_counts(m, pair.key, pair.response)
+            for metric, counts in expected.items():
+                assert report.scores[metric] == counts.triple()
 
     def test_micro_muc_matches_summed_oracle_fractions(self):
         report = score_corpus(two_doc_pairs(), metrics=["muc"])
@@ -204,16 +211,8 @@ class TestLeftToRightSums:
     """Floats add left to right, as ``sum`` did before Python 3.12 made it
     compensated, so the reports print the same bytes on every version."""
 
-    class Scored:
-        def __init__(self, f1):
-            self.f1 = f1
-
-        def triple(self):
-            return ScoreTriple(self.f1, self.f1, self.f1)
-
     def test_macro_mean(self):
-        ten = [self.Scored(0.1)] * 10
-        mean = _average(ten, zero_counts(MetricId.MUC), Averaging.MACRO)
+        mean = _mean([ScoreTriple(0.1, 0.1, 0.1)] * 10)
         assert mean == ScoreTriple(*[0.09999999999999999] * 3)
 
     def test_conll_average(self):

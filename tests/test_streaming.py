@@ -3,9 +3,11 @@ paired as they are read, and memory does not grow with the corpus: no
 document stays referenced while the next one is parsed.
 
 ``fixtures/expected/streaming.json`` pins stdout, stderr and exit status
-of the runs in ``streaming_corpus.recorded_runs``; they were recorded
-with the implementation that parsed both corpora whole before pairing
-them (``{key}`` and ``{response}`` stand for the two paths).
+of the runs in ``streaming_corpus.recorded_runs`` (``{key}`` and
+``{response}`` stand for the two paths).  The runs without flags were
+recorded with the implementation that parsed both corpora whole before
+pairing them; those of ``streaming_corpus.flag_runs`` with the one that
+projected tables by ``Overlap.project`` and added counts as objects.
 """
 
 from __future__ import annotations
@@ -58,10 +60,11 @@ def test_output_matches_the_materialising_pairing(name, expected, tmp_path, caps
     rc = main(argv)
     out, err = capsys.readouterr()
     pinned = expected[name]
-    key, response = argv[2], argv[4]
+    paths = dict(zip(argv[1:5:2], argv[2:5:2]))  # stats has no --response
     assert rc == pinned["rc"]
     assert out == pinned["out"]
-    assert err == pinned["err"].replace("{key}", key).replace("{response}", response)
+    err_pinned = pinned["err"].replace("{key}", paths["--key"])
+    assert err == err_pinned.replace("{response}", paths.get("--response", "{response}"))
 
 
 @pytest.mark.parametrize(

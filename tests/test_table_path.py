@@ -1,13 +1,14 @@
 """The table path against the partition-building reference.
 
 Strata and the pathology "after" pass are row projections of one overlap
-table per document; ``stratum_pairs`` and ``remove_spurious`` build the
-same inputs as partitions.  Both must give equal counts, reports and
-diagnostics, compared with ``==``, for all six metrics under both
-averagings.  Strata, leakage, singleton detection and the spurious count
-are checked against ``reference.py``, which reads the partitions' spans;
-the one walk of a labelled table (``split_table``) also against
-``reference.py``'s separate walks of random tables and their cell sums.
+table per document (``split_table``); ``stratum_pairs`` and
+``remove_spurious`` build the same inputs as partitions.  Both must give
+equal tables, counts, reports and diagnostics, compared with ``==``, for
+all six metrics under both averagings.  Strata, leakage, singleton
+detection and the spurious count are checked against ``reference.py``,
+which reads the partitions' spans; the one walk of a labelled table also
+against ``reference.py``'s projection and separate walks of random tables
+and their cell sums.
 The MUC, B3, LEA and BLANC counts of one cell walk must equal, with
 ``==``, the per-metric walks over a transposed table in ``reference.py``.
 """
@@ -49,6 +50,7 @@ def test_document_projections_match_rebuilt_partitions(corpus):
         rebuilt = stratum_pairs(p.key, p.response, config)
         assert tables.keys() == rebuilt.keys()
         for stratum, (key, resp) in rebuilt.items():
+            assert tables[stratum] == overlap(key, resp)
             assert table_counts(tables[stratum], ALL_METRICS) == partition_counts(
                 key, resp
             )
@@ -59,7 +61,8 @@ def test_document_projections_match_rebuilt_partitions(corpus):
         assert sum(t.response_sizes) - cells == spurious
         assert table_tallies(t)["response_spurious"] == spurious
         cleaned = remove_spurious(p.response, p.key)
-        after = t.project(range(len(t.rows)))
+        after = helpers.projection(t, range(len(t.rows)))
+        assert after == overlap(p.key, cleaned)
         assert table_counts(after, ALL_METRICS) == partition_counts(p.key, cleaned)
         assert table_tallies(after) == partition_tallies(p.key, cleaned)
 
@@ -72,7 +75,9 @@ def test_one_walk_matches_separate_walks_on_random_tables(data):
     tables, leakage, detection, cells = split_table(t, labels)
     assert list(tables) == list(dict.fromkeys(labels))
     for label, projected in tables.items():
-        assert projected == t.project([i for i in range(n) if labels[i] is label])
+        rows = [i for i in range(n) if labels[i] is label]
+        assert projected == reference.project(t, rows)
+        assert projected == helpers.projection(t, rows)
     assert leakage == reference.table_leakage(t, labels)
     assert detection == reference.table_singleton_detection(t)
     assert cells == sum(sum(row.values()) for row in t.rows)
@@ -130,6 +135,6 @@ def test_one_walk_matches_per_metric_walks_on_document_projections(corpus):
     for p in pairs:
         t = overlap(p.key, p.response)
         assert_one_walk_matches_per_metric_walks(t)
-        assert_one_walk_matches_per_metric_walks(t.project(range(len(t.rows))))
+        assert_one_walk_matches_per_metric_walks(helpers.projection(t, range(len(t.rows))))
         for projected in split_table(t, chain_strata(p.key, config))[0].values():
             assert_one_walk_matches_per_metric_walks(projected)

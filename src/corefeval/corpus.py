@@ -20,18 +20,18 @@ require_named degrade is decided up front for CoNLL), and ``pathology``
 scores it before and its projection onto every key row after
 spurious-mention removal.  No partition is rebuilt on any of these paths.
 
-Counts are kept as one record per document, ``(doc_id, {label: fields})``,
-the fields of a label one flat tuple of numbers (``_doc_counts``), and one
-reduction sorts the records by doc id, so floats add in one order whatever
-the order of the pairs, then sums each field of each label (``score``;
-``before`` and ``after``; each stratum present) once, left to right from 0,
-over the documents that have it (``_sums``).  The tallies are those sums;
-micro averaging scores the triples of the summed record, macro averaging
-takes the mean of per-document triples (F1 too, not recomputed from the
-means), both through ``_mean``.  To score one document, pass a corpus
-of one pair, ``[DocPair(key, response)]``, to ``score_corpus``,
-``stratify_corpus`` or ``pathology_corpus``; the require_named degrade then
-reads that document.
+Each document's counts are one flat record per report label (``score``;
+``before`` and ``after``; each stratum present), each metric's fields then
+the tallies (``_doc_counts``), kept as columns: per label a list of doc
+ids and an array per field, 'q' for an int and 'd' for a float.  Each
+column is read in doc-id order, so floats add in one order whatever the
+order of the pairs, and summed left to right from 0 (``_ordered``).  The
+tallies are those sums; micro averaging scores the triples of the summed
+fields, macro averaging takes the mean of each document's triples as they
+come (F1 too, not recomputed from the means), both through ``_mean``.
+To score one document, pass a corpus of one pair, ``[DocPair(key,
+response)]``, to ``score_corpus``, ``stratify_corpus`` or
+``pathology_corpus``; the require_named degrade then reads that document.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import operator
 import warnings
+from array import array
 from enum import Enum
 from functools import reduce
 from pathlib import Path
@@ -190,38 +191,53 @@ def _counts(metric: MetricId, fields: tuple) -> MetricCounts:
     return PRCounts(*fields)
 
 
-def _sums(rows: list, width: int) -> list:
-    """Each field added left to right from 0: sum() compensates floats since 3.12."""
-    return [reduce(operator.add, (r[i] for r in rows), 0) for i in range(width)]
+def _append(columns: dict, doc_id: str, records: dict) -> None:
+    """Add each ``{label: fields}`` record to that label's columns: the doc id
+    to a list, each field to an array, 'd' for a float and 'q' for an int."""
+    for label, fields in records.items():
+        if label not in columns:
+            columns[label] = [], [array("d" if type(v) is float else "q") for v in fields]
+        ids, cols = columns[label]
+        ids.append(doc_id)
+        for column, v in zip(cols, fields):
+            column.append(v)
 
 
-def _mean(triples: list[ScoreTriple]) -> ScoreTriple:
-    """The mean of the summed counts' triple (micro) or of each document's (macro)."""
-    if not triples:
-        return ZERO_TRIPLE
-    return ScoreTriple(*(s / len(triples) for s in _sums(triples, 3)))
+def _ordered(columns: dict, label, width: int, micro: bool) -> list:
+    """``label``'s columns (``width`` empty ones if none), each read once in
+    doc-id order, or under ``micro`` its one sum, left to right from 0 (sum()
+    compensates floats since 3.12): zipped, they give the rows to score."""
+    ids, cols = columns.get(label) or ([], [array("q")] * width)
+    order = sorted(range(len(ids)), key=ids.__getitem__)  # equal ids keep their order
+    cols = [map(column.__getitem__, order) for column in cols]
+    return [[reduce(operator.add, column, 0)] for column in cols] if micro else cols
+
+
+def _mean(triples: Iterable[ScoreTriple]) -> ScoreTriple:
+    """The mean of the triples, each component added left to right from 0
+    (not as a running tuple: its resized copies fill the tuple free list)."""
+    n = recall = precision = f1 = 0
+    for r, p, f in triples:
+        n, recall, precision, f1 = n + 1, recall + r, precision + p, f1 + f
+    return ScoreTriple(recall / n, precision / n, f1 / n) if n else ZERO_TRIPLE
 
 
 def _reduce(
-    docs: list[tuple], labels: Iterable, wanted: tuple[MetricId, ...], averaging: Averaging
+    columns: dict, labels: Iterable, wanted: tuple[MetricId, ...], averaging: Averaging
 ) -> dict:
-    """One report per label from per-document records ``(doc_id, {label:
-    record}, ...)``, each label over the documents that have it; tallies
-    always add up.  The records are sorted in place by doc id (equal ids keep
-    their order), so every float, here and in the caller's own averages
-    over them, adds in the same order on every run."""
-    docs.sort(key=operator.itemgetter(0))
+    """One report per label from its columns, over the documents that have
+    it: micro scores the summed counts, macro takes the mean of each
+    document's triples, in doc-id order; tallies always add up."""
     ends = [0, *itertools.accumulate(8 if m is MetricId.BLANC else 4 for m in wanted)]
+    micro = averaging is Averaging.MICRO
     reports = {}
     for label in labels:
-        records = [doc[1][label] for doc in docs if label in doc[1]]
-        total = _sums(records, ends[-1] + len(TALLY_KEYS))
-        scored = [total] if averaging is Averaging.MICRO else records
+        cols = _ordered(columns, label, ends[-1] + len(TALLY_KEYS), micro)
         scores = {
-            m: _mean([_counts(m, r[a:b]).triple() for r in scored])
+            m: _mean(_counts(m, row).triple() for row in zip(*cols[a:b]))
             for m, a, b in zip(wanted, ends, ends[1:])
         }
-        tallies = dict(zip(TALLY_KEYS, total[ends[-1]:]))
+        tallies = dict(zip(TALLY_KEYS, map(sum, cols[ends[-1]:])))
         reports[label] = MetricReport(scores, _conll_avg(scores), tallies)
     return reports
 
@@ -233,11 +249,11 @@ def score_corpus(
 ) -> MetricReport:
     """One report for a whole corpus under the chosen averaging."""
     wanted = normalize_metrics(metrics)
-    docs = []
+    columns: dict = {}
     for p in pairs:
-        docs.append((p.key.doc_id, {"score": _doc_counts(overlap(*p), wanted)}))
+        _append(columns, p.key.doc_id, {"score": _doc_counts(overlap(*p), wanted)})
         del p  # not held while the next pair is read
-    return _reduce(docs, ["score"], wanted, Averaging(averaging))["score"]
+    return _reduce(columns, ["score"], wanted, Averaging(averaging))["score"]
 
 
 def stratify_corpus(
@@ -261,26 +277,29 @@ def stratify_corpus(
     named = not config.require_named
     nameless = key_format is not None and SourceFormat(key_format) is SourceFormat.CONLL
     labelling = config._replace(require_named=False)
-    pending: list[tuple[dict[Stratum, tuple], Overlap, int]] = []
-    docs: list[tuple] = []  # (doc_id, {stratum: record}, *singleton detection)
+    pending: list[tuple[str, dict, Overlap, int]] = []
+    columns: dict = {}  # each stratum's, and singleton detection's under None
     leakage = spurious = 0
     for p in pairs:
         if not named and p.key.named:
             named, labelling = True, config
-            for counts, secondary, extra_leakage in pending:
+            for doc_id, counts, secondary, extra_leakage in pending:
                 del counts[Stratum.MAJOR]
                 counts[Stratum.SECONDARY] = _doc_counts(secondary, wanted)
+                _append(columns, doc_id, counts)
                 leakage += extra_leakage
             pending = []
         t = overlap(p.key, p.response)
         labels = chain_strata(p.key, labelling)
         tables, doc_leakage, detection, cells = split_table(t, labels)
         counts = {s: _doc_counts(u, wanted) for s, u in tables.items()}
+        counts[None] = detection
         if not (named or nameless) and Stratum.MAJOR in tables:
-            strict, leaks = split_table(t, chain_strata(p.key, config))[:2]
-            pending.append((counts, strict[Stratum.SECONDARY], leaks - doc_leakage))
-            del strict
-        docs.append((p.key.doc_id, counts, *detection))
+            tables, leaks = split_table(t, chain_strata(p.key, config))[:2]
+            extra = (tables[Stratum.SECONDARY], leaks - doc_leakage)
+            pending.append((p.key.doc_id, counts, *extra))
+        else:
+            _append(columns, p.key.doc_id, counts)
         leakage += doc_leakage
         spurious += sum(t.response_sizes) - cells
         del p, t, tables  # not held while the next pair is read
@@ -291,13 +310,13 @@ def stratify_corpus(
             UserWarning,
             stacklevel=2,
         )
-    present = [s for s in Stratum if any(s in doc[1] for doc in docs)]
-    per_stratum = _reduce(docs, present, wanted, averaging)  # sorts docs
-    detection = [doc[2:] for doc in docs]
-    scored = [_sums(detection, 4)] if averaging is Averaging.MICRO else detection
+    for doc_id, counts, *_ in pending:  # no name seen: the degraded records stand
+        _append(columns, doc_id, counts)
+    present = [s for s in Stratum if s in columns]
+    detection = zip(*_ordered(columns, None, 4, averaging is Averaging.MICRO))
     return StratifiedReport(
-        per_stratum=per_stratum,
-        singleton_detection=_mean([PRCounts(*d).triple() for d in scored]),
+        per_stratum=_reduce(columns, present, wanted, averaging),
+        singleton_detection=_mean(PRCounts(*row).triple() for row in detection),
         leakage=leakage,
         config=labelling,
         spurious_mentions=spurious,
@@ -317,14 +336,15 @@ def pathology_corpus(
     """
     wanted = normalize_metrics(metrics)
     averaging = Averaging(averaging)
-    docs = []
+    columns: dict = {}
     for p in pairs:
         t = overlap(p.key, p.response)
         before = _doc_counts(t, wanted)
         t = split_table(t, [None] * len(t.rows))[0].get(None, Overlap((), (), ()))
-        docs.append((p.key.doc_id, {"before": before, "after": _doc_counts(t, wanted)}))
+        after = _doc_counts(t, wanted)
+        _append(columns, p.key.doc_id, {"before": before, "after": after})
         del p, t  # not held while the next pair is read
-    before, after = _reduce(docs, ["before", "after"], wanted, averaging).values()
+    before, after = _reduce(columns, ["before", "after"], wanted, averaging).values()
     deltas = {m: after.scores[m].recall - before.scores[m].recall for m in wanted}
     return PathologyReport(before, after, deltas, before.counts["response_spurious"])
 

@@ -152,8 +152,11 @@ def overlap(key: Partition, response: Partition) -> Overlap:
             if j is not None:
                 row[j] = row.get(j, 0) + 1
         rows.append(row)
+    # Tuples from lists: one from an iterator is allocated at a guessed size
+    # and resized, so its block moves to another size's free list, and the
+    # free lists fill up (to 2,000 blocks a size) as documents are read.
     return Overlap(
-        tuple(map(len, key.spans)), tuple(map(len, response.spans)), tuple(rows)
+        tuple([*map(len, key.spans)]), tuple([*map(len, response.spans)]), tuple(rows)
     )
 
 

@@ -295,7 +295,8 @@ class Partition(Frozen):
             "doc_id": built.doc_id,
             "role": Role(role),
             "chain_ids": tuple(ids),
-            "spans": tuple(tuple(sorted(built.chains[c])) for c in ids),
+            # From a list: see metrics.overlap.
+            "spans": tuple([tuple(sorted(built.chains[c])) for c in ids]),
             "named": frozenset(built.named) if built.named else _NO_NAMES,
             "surfaces": built.surfaces or _NO_SURFACES,
         }

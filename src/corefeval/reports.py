@@ -28,7 +28,7 @@ import math
 from collections.abc import Mapping
 from enum import Enum
 from itertools import islice
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .metrics import MetricReport, PathologyReport
 from .stats import StatsReport
@@ -69,9 +69,25 @@ def _plain(value):
 
 
 def _json(obj) -> str:
-    # As json.dumps, whose indenting encoder would list every chunk at once.
-    chunks = json.JSONEncoder(indent=2, sort_keys=True, ensure_ascii=False).iterencode(obj)
-    return "".join(map("".join, iter(lambda: list(islice(chunks, 4096)), [])))
+    """As json.dumps, joined from blocks of chunks: its indenting encoder
+    lists every chunk at once.  A sequence view, the stats series, is first
+    encoded as null, then written one pair at a time as its tuple would be."""
+    views: list = []  # the view whose null is the next chunk
+    encoder = json.JSONEncoder(
+        indent=2, sort_keys=True, ensure_ascii=False, default=views.append
+    )
+
+    def chunks() -> Iterator[str]:
+        for chunk in encoder.iterencode(obj):
+            if views:
+                view = views.pop()
+                for i, (rank, size) in enumerate(view):  # a report field's
+                    yield f"{',' if i else '['}\n    [\n      {rank},\n      {size}\n    ]"
+                chunk = "\n  ]" if view else "[]"
+            yield chunk
+
+    blocks = chunks()
+    return "".join(map("".join, iter(lambda: list(islice(blocks, 1024)), [])))
 
 
 def _table(rows: list[tuple[str, ...]], align_left: int = 1) -> list[str]:

@@ -5,17 +5,19 @@ fields are its JSON keys.  ``num_chains`` counts non-singleton chains
 only; singletons are tallied separately, and both mentions-per-chain
 ratios are emitted so either reading of "chain" is inspectable.  The
 rank-size series lists every chain by descending size (without the
-singletons, its tail, under ``exclude_singletons``); ``zipf_fit``
-measures its log-log straightness with ordinary least squares, every
-sum exactly rounded (``math.fsum``).
+singletons, its tail, under ``exclude_singletons``), a view of the sorted
+size histogram (``RankSize``); ``zipf_fit`` measures its log-log
+straightness with ordinary least squares, every sum exactly rounded
+(``math.fsum``).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
-from itertools import chain, groupby, repeat
-from operator import add, itemgetter, mul, sub
+from itertools import accumulate, chain, groupby, repeat
+from operator import add, eq, itemgetter, mul, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import EmptySeries, ModelError
@@ -43,7 +45,7 @@ class StatsReport(NamedTuple):
     mentions_per_chain_incl: Optional[float]
     mentions_per_chain_excl: Optional[float]
     length_histogram: Mapping[int, int]
-    rank_size: tuple[tuple[int, int], ...]
+    rank_size: RankSize
     zipf_fit: Optional[ZipfFit]
     exclude_singletons: bool
 
@@ -64,10 +66,8 @@ def stats_report(
     num_mentions = sum(size * count for size, count in histogram.items())
     incl = num_mentions / total_chains if total_chains else None
     excl = (num_mentions - num_singletons) / num_nonsingleton if num_nonsingleton else None
-    sizes = sorted(histogram.elements(), reverse=True)
-    if exclude_singletons:
-        del sizes[num_nonsingleton:]  # the singletons, the descending tail
-    rank_size = tuple(enumerate(sizes, 1))
+    runs = sorted(histogram.items(), reverse=True)  # (size, chains); singletons last
+    rank_size = RankSize(runs[:-1] if exclude_singletons and num_singletons else runs)
     return StatsReport(
         num_mentions=num_mentions,
         num_chains=num_nonsingleton,
@@ -80,6 +80,31 @@ def stats_report(
         zipf_fit=zipf_fit(rank_size) if rank_size else None,
         exclude_singletons=exclude_singletons,
     )
+
+
+class RankSize(Sequence):
+    """A read-only view of ``runs``, (size, chains of that size) by descending
+    size: ``len``, indexing and iteration give each chain's (rank, size) as
+    it is read, and the view equals the tuple of those pairs."""
+
+    def __init__(self, runs: Sequence[tuple[int, int]]):
+        self._sizes = [size for size, _ in runs]
+        self._ends = [0, *accumulate(count for _, count in runs)]
+
+    def __len__(self) -> int:
+        return self._ends[-1]
+
+    def __getitem__(self, i: int) -> tuple[int, int]:
+        i = range(len(self))[i]  # a negative index counts from the end
+        return i + 1, self._sizes[bisect_right(self._ends, i) - 1]
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        counts = map(sub, self._ends[1:], self._ends)
+        return enumerate(chain.from_iterable(map(repeat, self._sizes, counts)), 1)
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, (tuple, RankSize)) and len(self) == len(other)
+        return same and all(map(eq, self, other))
 
 
 class ZipfFit(NamedTuple):

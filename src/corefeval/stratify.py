@@ -111,14 +111,14 @@ def split_table(t: Overlap, labels: Sequence) -> tuple[dict, int, PRCounts, int]
         rows.append(i)
         for j, v in row.items():
             sums[j] += v
-        if n == 1:
-            found += any(t.response_sizes[j] == 1 for j in row)
+        if n == 1 and row:  # j is the one cell of a key singleton's row
+            found += t.response_sizes[j] == 1
     tables = {}
-    for label, (rows, sums) in groups.items():
+    for label, (rows, sums) in groups.items():  # tuples from lists: see overlap()
         index = {j: k for k, j in enumerate(j for j, total in enumerate(sums) if total)}
-        cut = tuple({index[j]: v for j, v in t.rows[i].items()} for i in rows)
-        keys = tuple(t.key_sizes[i] for i in rows)
-        tables[label] = Overlap(keys, tuple(filter(None, sums)), cut)
+        cut = tuple([{index[j]: v for j, v in t.rows[i].items()} for i in rows])
+        keys = tuple([t.key_sizes[i] for i in rows])
+        tables[label] = Overlap(keys, tuple([*filter(None, sums)]), cut)
     column_sums = [sums for _, sums in groups.values()]
     return (
         tables,

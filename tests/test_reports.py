@@ -22,7 +22,7 @@ from corefeval import (
     stratify_corpus,
 )
 from corefeval.cli import main
-from corefeval.reports import _json
+from corefeval.reports import _json, _plain
 
 KEY = {"k1": frozenset({1, 2, 3}), "k2": frozenset({4, 5})}
 RESP = {"r1": frozenset({1, 2}), "r2": frozenset({3, 4, 5})}
@@ -297,6 +297,23 @@ class TestStatsRendering:
             '    "n_points": 3,\n    "r_squared": 0.9900591428258517,\n'
             '    "slope": -2.2966518953484067\n  }\n}'
         )
+
+    @given(
+        st.dictionaries(st.integers(1, 12), st.integers(1, 4), max_size=6),
+        st.booleans(),
+    )
+    def test_json_writes_the_series_view_as_json_dumps_writes_its_tuple(
+        self, histogram, exclude
+    ):
+        """The series view is written a pair at a time, with the bytes the
+        stock encoder gives the tuple of its pairs, an empty series too."""
+        sizes = [size for size, count in histogram.items() for _ in range(count)]
+        report = stats_report(helpers.sized_corpus({"d": sizes}), exclude)
+        pairs = report._replace(rank_size=tuple(report.rank_size))
+        expected = json.dumps(
+            _plain(pairs), indent=2, sort_keys=True, ensure_ascii=False
+        )
+        assert emit_report(report, OutputFormat.JSON) == expected
 
     def test_json_fit_is_nullable(self):
         data = json.loads(emit_report(stats_report([]), OutputFormat.JSON))

@@ -119,6 +119,37 @@ class TestRankSize:
         assert sizes == sorted(sizes, reverse=True)
 
 
+    @given(
+        st.dictionaries(st.integers(1, 20), st.integers(1, 6), max_size=8),
+        st.booleans(),
+    )
+    def test_view_behaves_as_the_tuple_of_pairs(self, histogram, exclude):
+        """The series is a view of the sorted size histogram.  Its length,
+        indexing (negative indices included), iteration and equality, both
+        ways, are those of the tuple of (rank, size) pairs, and the fit reads
+        it as it reads that tuple."""
+        sizes = [size for size, count in histogram.items() for _ in range(count)]
+        report = stats_report(corpus({"d": sizes}), exclude_singletons=exclude)
+        kept = [size for size in sizes if not (exclude and size == 1)]
+        pairs = tuple(enumerate(sorted(kept, reverse=True), 1))
+        view = report.rank_size
+        assert len(view) == len(pairs)
+        assert [view[i] for i in range(-len(pairs), len(pairs))] == [*pairs, *pairs]
+        for i in (len(pairs), -len(pairs) - 1):
+            with pytest.raises(IndexError):
+                view[i]
+        assert list(view) == list(pairs)
+        assert view == pairs and pairs == view
+        assert not (view != pairs or pairs != view)
+        longer = pairs + ((len(pairs) + 1, 1),)
+        assert view != longer and longer != view
+        if pairs:
+            changed = (*pairs[:-1], (len(pairs), pairs[-1][1] + 1))
+            assert view != changed and changed != view
+            assert report.zipf_fit == zipf_fit(pairs) == oracles.zipf_fit(pairs)
+        assert report == report._replace(rank_size=pairs)
+
+
 class TestRatioOrdering:
     @given(st.lists(st.integers(1, 9), min_size=1, max_size=12))
     def test_inclusive_never_exceeds_exclusive(self, sizes):

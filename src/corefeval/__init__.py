@@ -60,7 +60,6 @@ from .model import (
     Role,
     ScoreTriple,
     SourceFormat,
-    project,
 )
 from .reports import OutputFormat, emit_report
 from .stats import (
@@ -126,7 +125,6 @@ __all__ = [
     "parse_jsonl",
     "partition_tallies",
     "pathology_corpus",
-    "project",
     "read_corpus",
     "remove_spurious",
     "score_corpus",

@@ -24,6 +24,7 @@ Parsing is streaming: ``iter_conll`` holds one document at a time, and
 only a line starting with ``#`` is tried as a ``#begin``/``#end`` line.
 Other ``#`` lines are comments, allowed only inside a document: outside
 one, any line but ``#begin document`` is an error naming its line.
+``parse_conll`` collects what ``iter_conll`` yields into a ``CorpusSource``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import re
 from typing import Iterable, Iterator
 
 from .errors import ParseError, UnbalancedBracket
-from .model import CorpusSource, Document, DocumentBuilder, Partition, Role, SourceFormat
+from .model import CorpusSource, Document, DocumentBuilder, Partition, Role
 
 _BEGIN = re.compile(r"#begin document (.+)")
 _END = "#end document"
@@ -100,5 +101,5 @@ def iter_conll(
 
 
 def parse_conll(lines: Iterable[str], role: Role | str = Role.KEY) -> CorpusSource:
-    """Parse a whole CoNLL stream into a validated corpus."""
-    return CorpusSource.of_checked(SourceFormat.CONLL, iter_conll(lines, role))
+    """A whole CoNLL stream as a corpus: ``iter_conll``'s documents, checked."""
+    return CorpusSource("conll", iter_conll(lines, role))

@@ -13,6 +13,7 @@ stratification.  Unknown record fields are tolerated.  Emission is
 byte-deterministic, omits defaulted fields, and parse -> emit is a fixed
 point up to field ordering.  Each mention goes straight into the
 document's ``DocumentBuilder``, which checks it; no ``Mention`` is built.
+``parse_jsonl`` collects what ``iter_jsonl`` yields into a ``CorpusSource``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 from typing import IO, Iterable, Iterator, Optional
 
 from .errors import ParseError, SchemaError
-from .model import CorpusSource, Document, DocumentBuilder, Partition, Role, SourceFormat
+from .model import CorpusSource, Document, DocumentBuilder, Partition, Role
 
 
 def _field(record: dict, name: str, kind: type, lineno: int):
@@ -89,8 +90,8 @@ def iter_jsonl(
 
 
 def parse_jsonl(lines: Iterable[str], role: Role | str = Role.KEY) -> CorpusSource:
-    """Parse a whole jsonl stream into a validated corpus."""
-    return CorpusSource.of_checked(SourceFormat.JSONL, iter_jsonl(lines, role))
+    """A whole jsonl stream as a corpus: ``iter_jsonl``'s documents, checked."""
+    return CorpusSource("jsonl", iter_jsonl(lines, role))
 
 
 def _record_of(doc: Document, part: Partition) -> dict:
@@ -108,12 +109,9 @@ def _record_of(doc: Document, part: Partition) -> dict:
     return {"doc_id": doc.doc_id, "num_tokens": doc.num_tokens, "chains": chains}
 
 
-def emit_jsonl(
-    documents: CorpusSource | Iterable[tuple[Document, Partition]], stream: IO[str]
-) -> None:
-    """Write one record per document; inverse of parse_jsonl."""
-    if isinstance(documents, CorpusSource):
-        documents = documents.documents
+def emit_jsonl(documents: Iterable[tuple[Document, Partition]], stream: IO[str]) -> None:
+    """Write one record per (Document, Partition) pair, as ``iter_jsonl`` reads
+    them; a ``CorpusSource``'s are its ``documents``."""
     for doc, part in documents:
         stream.write(json.dumps(_record_of(doc, part), ensure_ascii=False))
         stream.write("\n")

@@ -14,7 +14,8 @@ recall(response, key) by construction.  CEAF aligns chains with an
 in-package exact maximum-weight matching over the non-zero cells only
 (successive shortest augmenting paths with row and column potentials, see
 ``_align``); chains sharing no mention add nothing to an alignment, so no
-dense block is built.
+dense block is built.  ``remove_spurious`` is the pathology "after" pass on
+partitions, a span slice (``model._slice``) the table path is tested against.
 
 Each metric is expressed as addable recall and precision counts
 (numerators and denominators) so multi-document corpora can be
@@ -37,13 +38,7 @@ from collections import namedtuple
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .model import (
-    Partition,
-    ScoreTriple,
-    ZERO_TRIPLE,
-    check_same_doc,
-    project,
-)
+from .model import Partition, ScoreTriple, ZERO_TRIPLE, _slice, check_same_doc
 
 
 class MetricId(str, Enum):
@@ -461,13 +456,13 @@ def _conll_avg(scores: Mapping[MetricId, ScoreTriple]) -> Optional[float]:
     if any(m not in scores for m in CONLL_METRICS):
         return None
     muc, b3, ceaf_e = (scores[m].f1 for m in CONLL_METRICS)
-    return (muc + b3 + ceaf_e) / len(CONLL_METRICS)  # not sum(): see corpus._sums
+    return (muc + b3 + ceaf_e) / len(CONLL_METRICS)  # not sum(): corpus._ordered, _mean
 
 
 def remove_spurious(response: Partition, key: Partition) -> Partition:
     """Delete response mentions absent from the key; drop emptied chains."""
     check_same_doc(key, response)
-    return project(response, key.mention_set)
+    return _slice(response, set().union(*key.spans))
 
 
 class PathologyReport(NamedTuple):

@@ -5,10 +5,13 @@ each chain's sorted (start, end) tuples, the set of spans flagged
 is_named and a sparse span -> surface map.  Scoring, stratification and
 stats read only these.  ``Chain`` and ``Mention`` objects are views for
 API callers, built on first access to ``Partition.chains`` (or
-``mention_set``, ``chain_by_mention``); no command builds them.
+``mention_set``, ``chain_by_mention``); nothing else in the package does.
 
-Input is checked once, in ``DocumentBuilder``: both parsers and
-``Partition(...)`` go through it, and its errors name the input line.
+Input is checked once, in ``DocumentBuilder``: both parsers,
+``Partition(...)`` and ``_slice`` (a partition cut to a set of spans) go
+through it, and its errors name the input line.  ``CorpusSource`` checks
+only what a partition cannot know: that it belongs to its document, that
+document ids are unique and that no span ends past the token count.
 
 Identity rules: ``Mention`` equality and hashing use only the
 (doc_id, start, end) span; ``is_named`` and ``surface`` are carried
@@ -32,7 +35,7 @@ from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Container, Iterable, Iterator, Mapping, Optional
 
 from .errors import DocMismatch, DuplicateSpan, ModelError, RangeError
 
@@ -176,8 +179,8 @@ _NO_SURFACES: Mapping[Span, str] = MappingProxyType({})
 
 
 class DocumentBuilder:
-    """The one place input is checked: both parsers and ``Partition(...)``
-    put a document's spans in through ``add``.
+    """The one place input is checked: both parsers, ``Partition(...)`` and
+    ``_slice`` put a document's spans in through ``add``.
 
     ``add`` checks 0 <= start <= end < num_tokens and that no span is in
     two chains, ``chain`` that a chain id is new, and the constructor that
@@ -250,10 +253,8 @@ class DocumentBuilder:
         self, role: Role | str, num_tokens: Optional[int] = None
     ) -> tuple[Document, Partition]:
         """The document and its partition; ``num_tokens`` if not given before."""
-        partition = Partition.__new__(Partition)
-        partition._store(self, role)
         n = self.num_tokens if num_tokens is None else num_tokens
-        return Document(self.doc_id, n), partition
+        return Document(self.doc_id, n), Partition.__new__(Partition)._store(self, role)
 
 
 class Partition(Frozen):
@@ -289,7 +290,7 @@ class Partition(Frozen):
                 builder.add(chain.chain_id, m.start, m.end, None, m.is_named, m.surface)
         self._store(builder, role)
 
-    def _store(self, built: DocumentBuilder, role: Role | str) -> None:
+    def _store(self, built: DocumentBuilder, role: Role | str) -> Partition:
         ids = sorted(built.chains)
         fields = {
             "doc_id": built.doc_id,
@@ -302,6 +303,7 @@ class Partition(Frozen):
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
+        return self
 
     def __len__(self) -> int:
         return len(self.chain_ids)
@@ -322,14 +324,16 @@ class Partition(Frozen):
         return {m: c for c in self.chains for m in c.mentions}
 
 
-def project(p: Partition, keep: Iterable[Mention]) -> Partition:
-    """Intersect every chain with ``keep``; drop emptied chains, keep ids.
-
-    Kept mentions are the partition's own objects, so their metadata survives.
-    """
-    keep = frozenset(keep)
-    kept = [(c.chain_id, [m for m in c.mentions if m in keep]) for c in p.chains]
-    return Partition(p.doc_id, [Chain(i, ms) for i, ms in kept if ms], p.role)
+def _slice(p: Partition, keep: Container[Span]) -> Partition:
+    """``p`` with each chain cut to its spans in ``keep`` and emptied chains
+    dropped, through the readers' ``DocumentBuilder``: chain ids and each
+    kept span's is_named and surface are kept, and no view is built."""
+    builder = DocumentBuilder(p.doc_id)
+    for chain_id, spans in zip(p.chain_ids, p.spans):
+        for span in spans:
+            if span in keep:
+                builder.add(chain_id, *span, None, span in p.named, p.surfaces.get(span))
+    return Partition.__new__(Partition)._store(builder, p.role)
 
 
 def check_same_doc(key: Partition, response: Partition) -> None:
@@ -391,16 +395,10 @@ class CorpusSource(Frozen):
                 )
             builder = DocumentBuilder(doc.doc_id, num_tokens=doc.num_tokens, seen=seen)
             for chain_id, spans in zip(part.chain_ids, part.spans):
-                for span in spans:
-                    builder.add(chain_id, *span)
+                for start, end in spans:
+                    if end >= doc.num_tokens:
+                        builder.add(chain_id, start, end)
         vars(self).update(format=SourceFormat(format), documents=docs)
-
-    @classmethod
-    def of_checked(cls, format: SourceFormat, documents: Iterable) -> CorpusSource:
-        """A corpus whose documents a ``DocumentBuilder`` has checked."""
-        source = cls.__new__(cls)
-        vars(source).update(format=format, documents=tuple(documents))
-        return source
 
     def __len__(self) -> int:
         return len(self.documents)

@@ -10,9 +10,9 @@ key belong to no stratum; their count is reported alongside.
 ``chain_strata`` labels each key chain, in table row order, and
 ``split_table``, the package's only table projection (pathology gives all
 rows one label), reads the rest off one walk of the rows, grouped by the
-labels.  ``stratum_pairs`` builds the same strata as partitions, the
-reference the table path is tested against.  ``corpus.stratify_corpus``
-holds the require_named degrade.
+labels.  ``stratum_pairs`` cuts the same strata out of both partitions as
+spans (``model._slice``), the reference the table path is tested against.
+``corpus.stratify_corpus`` holds the require_named degrade.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ModelError
 from .metrics import MetricReport, Overlap, PRCounts
-from .model import Partition, ScoreTriple, check_same_doc, checked_tuple, project
+from .model import Partition, ScoreTriple, _slice, check_same_doc, checked_tuple
 
 
 class Stratum(str, Enum):
@@ -87,10 +87,9 @@ def stratum_pairs(
     labels = chain_strata(key, config)
     out: dict[Stratum, tuple[Partition, Partition]] = {}
     for stratum in Stratum:
-        chains = [c for c, s in zip(key.chains, labels) if s is stratum]
-        if chains:
-            key_slice = Partition(key.doc_id, chains, key.role)
-            out[stratum] = (key_slice, project(response, key_slice.mention_set))
+        keep = set().union(*(s for s, label in zip(key.spans, labels) if label is stratum))
+        if keep:
+            out[stratum] = (_slice(key, keep), _slice(response, keep))
     return out
 
 

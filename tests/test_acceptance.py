@@ -331,7 +331,7 @@ def test_criterion_8_round_trip_and_determinism(fixtures_dir):
         text = (fixtures_dir / f"{name}.jsonl").read_text(encoding="utf-8")
         source = parse_jsonl(text.splitlines(), role)
         buffer = io.StringIO()
-        emit_jsonl(source, buffer)
+        emit_jsonl(source.documents, buffer)
         assert buffer.getvalue() == text
 
     score_args = [

@@ -671,7 +671,7 @@ def test_conll_and_its_jsonl_conversion_print_identical_reports(
         with open(conll, encoding="utf-8") as stream, open(
             jsonl, "w", encoding="utf-8"
         ) as out:
-            emit_jsonl(parse_conll(stream, role), out)
+            emit_jsonl(parse_conll(stream, role).documents, out)
         paths[side] = (conll, jsonl)
     printed = []
     for i in (0, 1):

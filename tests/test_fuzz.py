@@ -3,8 +3,9 @@
 Two properties hold for both formats, on arbitrary bytes and on fixture
 files whose lines are truncated, duplicated or have a byte flipped:
 - only ``CorefEvalError`` escapes ``read_corpus``;
-- the CLI's ``stats`` and ``score`` exit 0 or 1, never 2 (an internal
-  fault).
+- every CLI command (``stats`` on the file, ``score``, ``stratify`` and
+  ``pathology`` with it as the key and as the response) exits 0 or 1,
+  never 2 (an internal fault), and an exit 1 names the file's path.
 
 Everything runs in process; each example writes one file into a
 directory shared by the module.
@@ -74,17 +75,18 @@ def check(workdir: pathlib.Path, fmt: str, data: bytes) -> None:
     except CorefEvalError:
         pass
     response = str(FIXTURES / RESPONSE[fmt])
-    for args in (
-        ["stats", "--key", str(path)],
-        ["score", "--key", str(path), "--response", response],
-        ["score", "--key", response, "--response", str(path)],
-    ):
+    runs = [["stats", "--key", str(path)]]
+    for command in ("score", "stratify", "pathology"):
+        runs.append([command, "--key", str(path), "--response", response])
+        runs.append([command, "--key", response, "--response", str(path)])
+    for args in runs:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             rc = main(args)
         assert rc in (0, 1), err.getvalue()
         if rc == 1:
             assert err.getvalue().startswith("error: ")
+            assert str(path) in err.getvalue(), err.getvalue()
 
 
 @FUZZ

@@ -37,9 +37,9 @@ def parse_one(text: str, role=Role.KEY):
     return source.documents[0]
 
 
-def emit_text(source) -> str:
+def emit_text(documents) -> str:
     out = io.StringIO()
-    emit_jsonl(source, out)
+    emit_jsonl(documents, out)
     return out.getvalue()
 
 
@@ -175,7 +175,7 @@ def test_same_span_same_chain_collapses():
 
 
 def test_emit_omits_defaulted_metadata():
-    text = emit_text(parse_jsonl([record()]))
+    text = emit_text(parse_jsonl([record()]).documents)
     assert "is_named" not in text
     assert "surface" not in text
 
@@ -184,13 +184,13 @@ def test_emit_keeps_set_metadata():
     raw = record(
         chains=[{"chain_id": "a", "mentions": [{"start": 0, "end": 0, "is_named": True}]}]
     )
-    assert '"is_named": true' in emit_text(parse_jsonl([raw]))
+    assert '"is_named": true' in emit_text(parse_jsonl([raw]).documents)
 
 
 def test_parse_emit_parse_fixed_point():
     source = parse_jsonl([record()])
-    emitted = emit_text(source)
-    again = emit_text(parse_jsonl(emitted.splitlines()))
+    emitted = emit_text(source.documents)
+    again = emit_text(parse_jsonl(emitted.splitlines()).documents)
     assert again == emitted
 
 
@@ -221,7 +221,7 @@ def test_metadata_record_is_an_emit_fixed_point():
     chains = [{"chain_id": "a", "mentions": mentions}]
     doc = {"doc_id": "d", "num_tokens": 3, "chains": chains}
     text = json.dumps(doc, ensure_ascii=False) + "\n"
-    assert emit_text(parse_jsonl(text.splitlines())) == text
+    assert emit_text(parse_jsonl(text.splitlines()).documents) == text
 
 
 def test_shipped_fixtures_are_emit_fixed_points(fixtures_dir):
@@ -232,4 +232,4 @@ def test_shipped_fixtures_are_emit_fixed_points(fixtures_dir):
         "pathology_response.jsonl",
     ):
         text = (fixtures_dir / name).read_text()
-        assert emit_text(parse_jsonl(text.splitlines())) == text
+        assert emit_text(parse_jsonl(text.splitlines()).documents) == text

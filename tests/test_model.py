@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import given
 
@@ -17,9 +19,13 @@ from corefeval import (
     RangeError,
     Role,
     ScoreTriple,
+    Stratum,
     StratumConfig,
+    emit_jsonl,
     optimal_alignment,
+    parse_jsonl,
     pathology_corpus,
+    remove_spurious,
     score_corpus,
     stats_report,
     stratify_corpus,
@@ -27,6 +33,7 @@ from corefeval import (
 )
 from corefeval.metrics import overlap
 from corefeval.model import ZERO_TRIPLE, check_same_doc
+from corefeval.stratify import stratum_pairs
 
 
 def mk(start, end=None, doc="d", **kw):
@@ -205,22 +212,110 @@ class TestCorpusSource:
     def test_duplicate_doc_id_rejected(self):
         doc = Document("d", 3)
         part = Partition("d", [], Role.KEY)
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="^duplicate document id 'd'$"):
             CorpusSource("jsonl", [(doc, part), (doc, part)])
 
     def test_partition_document_id_mismatch_rejected(self):
-        with pytest.raises(ModelError):
+        message = "^partition for 'b' attached to document 'a'$"
+        with pytest.raises(ModelError, match=message):
             CorpusSource("jsonl", [(Document("a", 3), Partition("b", [], Role.KEY))])
 
     def test_mention_beyond_token_count_rejected(self):
-        part = Partition("d", [Chain("c", [mk(0), mk(5)])], Role.KEY)
-        with pytest.raises(RangeError):
+        chains = [Chain("c", [mk(0), mk(6), mk(5)]), Chain("e", [mk(7)])]
+        part = Partition("d", chains, Role.KEY)
+        message = r"^mention \(5, 5\) outside document 'd' with 5 tokens$"
+        with pytest.raises(RangeError, match=message):
             CorpusSource("jsonl", [(Document("d", 5), part)])
 
     def test_valid_source(self):
         part = Partition("d", [Chain("c", [mk(0), mk(4)])], Role.KEY)
         src = CorpusSource("conll", [(Document("d", 5), part)])
         assert len(src) == 1
+
+
+VIEWS = {"chains", "mention_set", "chain_by_mention"}
+
+
+def metadata_pair():
+    """A key and response whose mentions carry is_named and surface; the key
+    has one chain per stratum under ``StratumConfig(3)``, and response chain
+    r3 holds only spurious mentions."""
+    ada = [mk(0, 1, is_named=True, surface="Ada"), mk(5, surface="she"), mk(9), mk(12)]
+    bob = [mk(3, is_named=True, surface="Bob"), mk(7, surface="him")]
+    x = [mk(14, surface="it")]
+    key = Partition("d", [Chain("ada", ada), Chain("bob", bob), Chain("x", x)], "key")
+    response = Partition(
+        "d",
+        [
+            Chain("r1", [ada[0], bob[0], mk(20, surface="spurious")]),
+            Chain("r2", [mk(5, surface="she"), mk(21)]),
+            Chain("r3", [mk(22, is_named=True, surface="Nobody")]),
+            Chain("r4", [mk(14, surface="it"), mk(12)]),
+        ],
+        "response",
+    )
+    return key, response
+
+
+def assert_cut_from(out, source):
+    """No view is cached on ``out`` or ``source``, and ``out`` keeps
+    ``source``'s metadata on exactly the spans it kept."""
+    assert not VIEWS & {*vars(out), *vars(source)}
+    kept = {span for spans in out.spans for span in spans}
+    assert out.named == source.named & kept
+    assert dict(out.surfaces) == {s: v for s, v in source.surfaces.items() if s in kept}
+
+
+class TestNoViewLeftBehind:
+    """The partition paths cut spans: they build no ``Chain`` or ``Mention``,
+    cache no view on their inputs or outputs, and keep each kept span's
+    is_named and surface (which ``Partition`` equality ignores)."""
+
+    @pytest.fixture
+    def pair(self, monkeypatch):
+        built = metadata_pair()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Chain or Mention was built")
+
+        monkeypatch.setattr(Chain, "__init__", refuse)
+        monkeypatch.setattr(Mention, "__new__", refuse)
+        return built
+
+    def test_remove_spurious(self, pair):
+        key, response = pair
+        out = remove_spurious(response, key)
+        assert out.chain_ids == ("r1", "r2", "r4")
+        assert out.named == {(0, 1), (3, 3)}
+        assert dict(out.surfaces) == {
+            (0, 1): "Ada", (3, 3): "Bob", (5, 5): "she", (14, 14): "it"
+        }
+        assert_cut_from(out, response)
+        assert not VIEWS & vars(key).keys()
+
+    def test_stratum_pairs(self, pair):
+        key, response = pair
+        strata = stratum_pairs(key, response, StratumConfig(3))
+        assert list(strata) == [Stratum.MAJOR, Stratum.SECONDARY, Stratum.SINGLETON]
+        assert strata[Stratum.MAJOR][1].surfaces == {(0, 1): "Ada", (5, 5): "she"}
+        for key_slice, response_slice in strata.values():
+            assert_cut_from(key_slice, key)
+            assert_cut_from(response_slice, response)
+        key_ids = [c for key_slice, _ in strata.values() for c in key_slice.chain_ids]
+        assert key_ids == ["ada", "bob", "x"]
+
+    def test_corpus_source_and_parse_jsonl(self, pair):
+        for part in pair:
+            doc = Document("d", 30)
+            source = CorpusSource("jsonl", [(doc, part)])
+            assert source.documents == ((doc, part),)
+            assert_cut_from(part, part)
+            text = io.StringIO()
+            emit_jsonl(source.documents, text)
+            lines = text.getvalue().splitlines()
+            ((parsed_doc, parsed),) = parse_jsonl(lines, part.role).documents
+            assert (parsed_doc, parsed) == (doc, part)
+            assert_cut_from(parsed, part)
 
 
 def _record_twins():

@@ -12,11 +12,11 @@ from corefeval import (
     Role,
     Stratum,
     StratumConfig,
-    project,
+    remove_spurious,
     score_corpus,
     stratify_corpus,
 )
-from corefeval.stratify import chain_strata
+from corefeval.stratify import chain_strata, stratum_pairs
 
 
 def chain_of_size(n, named=False, start=0):
@@ -103,31 +103,51 @@ class TestStratify:
         assert sum(len(c) for c in seen) == len(part.mention_set)
 
 
-class TestProject:
-    def test_chains_intersected_and_emptied_dropped(self):
+def singleton_key(doc_id, mentions):
+    """A key with one singleton chain per mention: its one stratum keeps them."""
+    spans = [(m.start, m.end) for m in mentions]
+    chains = [Chain(f"k{i}", [Mention(doc_id, *s)]) for i, s in enumerate(spans)]
+    return Partition(doc_id, chains, Role.KEY)
+
+
+def cut_by_remove_spurious(part, keep):
+    return remove_spurious(part, singleton_key(part.doc_id, keep))
+
+
+def cut_by_stratum_pairs(part, keep):
+    strata = stratum_pairs(singleton_key(part.doc_id, keep), part, StratumConfig())
+    assert set(strata) <= {Stratum.SINGLETON}
+    return strata[Stratum.SINGLETON][1] if strata else Partition(part.doc_id, [], part.role)
+
+
+@pytest.mark.parametrize("cut", [cut_by_remove_spurious, cut_by_stratum_pairs])
+class TestSlice:
+    """A response cut to the mentions a key holds, by either partition path."""
+
+    def test_chains_intersected_and_emptied_dropped(self, cut):
         part = helpers.build_partition(
             {"a": frozenset({1, 2}), "b": frozenset({3})}, Role.RESPONSE
         )
         keep = [m for m in part.mention_set if m.start != 2]
-        projected = project(part, keep)
+        projected = cut(part, keep)
         by_id = {c.chain_id: {m.start for m in c} for c in projected.chains}
         assert set(by_id) <= {"a", "b"}
         assert all(starts for starts in by_id.values())
 
-    def test_superset_keep_is_identity(self):
+    def test_superset_keep_is_identity(self, cut):
         part = helpers.build_partition({"a": frozenset({1, 2})}, Role.RESPONSE)
-        assert project(part, part.mention_set) == part
+        assert cut(part, [*part.mention_set, Mention("d", 99, 99)]) == part
 
-    def test_disjoint_keep_empties(self):
+    def test_disjoint_keep_empties(self, cut):
         part = helpers.build_partition({"a": frozenset({1, 2})}, Role.RESPONSE)
-        assert len(project(part, [Mention("d", 99, 99)])) == 0
+        assert len(cut(part, [Mention("d", 99, 99)])) == 0
 
-    @given(helpers.label_instances())
-    def test_projection_properties(self, instance):
+    @given(instance=helpers.label_instances())
+    def test_projection_properties(self, cut, instance):
         _, resp_labels = instance
         part = helpers.build_partition(resp_labels, Role.RESPONSE)
         keep = frozenset(m for m in part.mention_set if m.start % 2 == 0)
-        projected = project(part, keep)
+        projected = cut(part, keep)
         assert projected.mention_set == part.mention_set & keep
         assert {c.chain_id for c in projected.chains} <= {
             c.chain_id for c in part.chains
@@ -321,7 +341,7 @@ class TestStratifiedScore:
             key.doc_id, [c for c in key.chains if not c.is_singleton], key.role
         )
         expected = score_corpus(
-            [DocPair(nonsingleton, project(resp, nonsingleton.mention_set))]
+            [DocPair(nonsingleton, remove_spurious(resp, nonsingleton))]
         )
         assert report.per_stratum[Stratum.MAJOR] == expected
         assert Stratum.SECONDARY not in report.per_stratum

@@ -169,7 +169,6 @@ def test_no_command_materialises_a_corpus(fmt, command, tmp_path, monkeypatch, c
         raise AssertionError("a command materialised a corpus")
 
     monkeypatch.setattr(CorpusSource, "__init__", refuse)
-    monkeypatch.setattr(CorpusSource, "of_checked", classmethod(refuse))
     for module in (corpus_mod, cli):
         monkeypatch.setattr(module, "pair_corpora", refuse, raising=False)
     argv = pairing_run(tmp_path, fmt, "reversed", command)

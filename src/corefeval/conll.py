@@ -64,11 +64,11 @@ def iter_conll(
                     raise ParseError(f"bad coreference item {item!r}", line=lineno)
                 unit, opened, closed = match.groups()
                 if unit is not None:
-                    doc.add(unit, index, index, lineno)
+                    doc.add(unit, (index, index), lineno)
                 elif opened is not None:
                     stacks.setdefault(opened, []).append(index)
                 elif stacks.get(closed):
-                    doc.add(closed, stacks[closed].pop(), index, lineno)
+                    doc.add(closed, (stacks[closed].pop(), index), lineno)
                 else:
                     raise UnbalancedBracket(
                         f"close without open for chain {closed}", line=lineno

@@ -11,8 +11,11 @@ One JSON record per document:
 is the only input format that can carry the named-entity flag used by
 stratification.  Unknown record fields are tolerated.  Emission is
 byte-deterministic, omits defaulted fields, and parse -> emit is a fixed
-point up to field ordering.  Each mention goes straight into the
-document's ``DocumentBuilder``, which checks it; no ``Mention`` is built.
+point up to field ordering.  Mentions decode straight to spans: a mention
+object of just integer ``start`` and ``end`` becomes the ``(start, end)``
+tuple the partition keeps, and goes into the document's ``DocumentBuilder``;
+any other object, a mention with ``is_named`` or ``surface`` included,
+stays a dict and is checked field by field.
 ``parse_jsonl`` collects what ``iter_jsonl`` yields into a ``CorpusSource``.
 """
 
@@ -27,16 +30,30 @@ from .errors import ParseError, SchemaError
 from .model import CorpusSource, Document, DocumentBuilder, Partition, Role
 
 
+def _mention(obj: dict):
+    """An object of just non-bool int ``start`` and ``end`` as its span;
+    any other object as it is."""
+    if len(obj) == 2:
+        start, end = obj.get("start"), obj.get("end")
+        if type(start) is int and type(end) is int:
+            return start, end
+    return obj
+
+
+# One decoder, as json.loads(raw, object_hook=...) builds one per call.  JSON
+# decodes no array to a tuple, so a decoded tuple is always a mention.
+_DECODER = json.JSONDecoder(object_hook=_mention)
+
+
 def _field(record: dict, name: str, kind: type, lineno: int):
+    # A record or chain decoded as a mention is an int pair: no name is in it.
     if name not in record:
         raise SchemaError(f"missing field {name!r}", line=lineno)
     value = record[name]
     # bool is an int subclass; an is_named flag must not pass as a count
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise SchemaError(
-            f"field {name!r} must be {kind.__name__}, got {type(value).__name__}",
-            line=lineno,
-        )
+        got = "dict" if type(value) is tuple else type(value).__name__
+        raise SchemaError(f"field {name!r} must be {kind.__name__}, got {got}", line=lineno)
     return value
 
 
@@ -46,36 +63,40 @@ def _parse_record(
     if not raw.strip():
         return None
     try:
-        record = json.loads(raw)
+        # Only json.loads rejects a leading BOM, so it reads such a line.
+        record = (json.loads if raw[0] == "\ufeff" else _DECODER.decode)(raw)
     except (ValueError, RecursionError) as exc:
         # The decoder recurses once per nesting level.
         raise ParseError(f"invalid JSON: {exc}", line=lineno) from None
-    if not isinstance(record, dict):
+    if not isinstance(record, (dict, tuple)):
         raise SchemaError("each record must be an object", line=lineno)
     doc_id = _field(record, "doc_id", str, lineno)
     num_tokens = _field(record, "num_tokens", int, lineno)
     raw_chains = _field(record, "chains", list, lineno)
     doc = DocumentBuilder(doc_id, lineno, num_tokens, seen)
     for raw_chain in raw_chains:
-        if not isinstance(raw_chain, dict):
+        if not isinstance(raw_chain, (dict, tuple)):
             raise SchemaError("each chain must be an object", line=lineno)
         chain_id = _field(raw_chain, "chain_id", str, lineno)
         doc.chain(chain_id, lineno)
         raw_mentions = _field(raw_chain, "mentions", list, lineno)
         if not raw_mentions:
             raise SchemaError(f"chain {chain_id!r} has no mentions", line=lineno)
-        for raw_mention in raw_mentions:
-            if not isinstance(raw_mention, dict):
+        for mention in raw_mentions:
+            if type(mention) is tuple:  # a plain {start, end} _mention decoded
+                doc.add(chain_id, mention, lineno)
+                continue
+            if not isinstance(mention, dict):
                 raise SchemaError("each mention must be an object", line=lineno)
-            start = _field(raw_mention, "start", int, lineno)
-            end = _field(raw_mention, "end", int, lineno)
-            is_named = raw_mention.get("is_named", False)
+            start = _field(mention, "start", int, lineno)
+            end = _field(mention, "end", int, lineno)
+            is_named = mention.get("is_named", False)
             if not isinstance(is_named, bool):
                 raise SchemaError("field 'is_named' must be a boolean", line=lineno)
-            surface = raw_mention.get("surface")
+            surface = mention.get("surface")
             if surface is not None and not isinstance(surface, str):
                 raise SchemaError("field 'surface' must be a string", line=lineno)
-            doc.add(chain_id, start, end, lineno, is_named, surface)
+            doc.add(chain_id, (start, end), lineno, is_named, surface)
     return doc.finish(role)
 
 

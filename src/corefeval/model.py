@@ -31,7 +31,7 @@ after construction and safe to share across threads.
 from __future__ import annotations
 
 import sys
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
@@ -185,7 +185,8 @@ class DocumentBuilder:
     ``add`` checks 0 <= start <= end < num_tokens and that no span is in
     two chains, ``chain`` that a chain id is new, and the constructor that
     the document id is not in ``seen`` and the token count is not
-    negative.  A span repeated in one chain collapses, keeping the
+    negative.  The ``(start, end)`` tuple ``add`` is given is the span the
+    partition keeps.  A span repeated in one chain collapses, keeping the
     metadata of its first occurrence.  Errors name ``line`` when given.
     """
 
@@ -204,7 +205,7 @@ class DocumentBuilder:
             raise ModelError(f"num_tokens must be >= 0, got {num_tokens}", line=line)
         self.doc_id, self.num_tokens = doc_id, num_tokens
         self.limit = sys.maxsize if num_tokens is None else num_tokens
-        self.chains: dict[str, list[Span]] = {}
+        self.chains: dict[str, list[Span]] = defaultdict(list)
         self.owner: dict[Span, str] = {}
         self.named: set[Span] = set()
         self.surfaces: dict[Span, str] = {}
@@ -220,19 +221,17 @@ class DocumentBuilder:
     def add(
         self,
         chain_id: str,
-        start: int,
-        end: int,
+        span: Span,
         line: Optional[int] = None,
         is_named: bool = False,
         surface: Optional[str] = None,
     ) -> None:
-        if not 0 <= start <= end < self.limit:
+        if not 0 <= span[0] <= span[1] < self.limit:
             raise RangeError(
-                f"mention ({start}, {end}) outside document {self.doc_id!r} "
+                f"mention {span} outside document {self.doc_id!r} "
                 f"with {self.num_tokens} tokens",
                 line=line,
             )
-        span = (start, end)
         previous = self.owner.get(span)
         if previous is not None:
             if previous != chain_id:
@@ -243,7 +242,7 @@ class DocumentBuilder:
                 )
             return
         self.owner[span] = chain_id
-        self.chains.setdefault(chain_id, []).append(span)
+        self.chains[chain_id].append(span)
         if is_named:
             self.named.add(span)
         if surface is not None:
@@ -287,7 +286,7 @@ class Partition(Frozen):
                 )
             builder.chain(chain.chain_id)
             for m in chain.mentions:
-                builder.add(chain.chain_id, m.start, m.end, None, m.is_named, m.surface)
+                builder.add(chain.chain_id, m.span, None, m.is_named, m.surface)
         self._store(builder, role)
 
     def _store(self, built: DocumentBuilder, role: Role | str) -> Partition:
@@ -332,7 +331,7 @@ def _slice(p: Partition, keep: Container[Span]) -> Partition:
     for chain_id, spans in zip(p.chain_ids, p.spans):
         for span in spans:
             if span in keep:
-                builder.add(chain_id, *span, None, span in p.named, p.surfaces.get(span))
+                builder.add(chain_id, span, None, span in p.named, p.surfaces.get(span))
     return Partition.__new__(Partition)._store(builder, p.role)
 
 
@@ -395,9 +394,9 @@ class CorpusSource(Frozen):
                 )
             builder = DocumentBuilder(doc.doc_id, num_tokens=doc.num_tokens, seen=seen)
             for chain_id, spans in zip(part.chain_ids, part.spans):
-                for start, end in spans:
-                    if end >= doc.num_tokens:
-                        builder.add(chain_id, start, end)
+                for span in spans:
+                    if span[1] >= doc.num_tokens:
+                        builder.add(chain_id, span)
         vars(self).update(format=SourceFormat(format), documents=docs)
 
     def __len__(self) -> int:

@@ -7,7 +7,8 @@ plain names.  The table-level functions at the end compute a row
 projection, leakage and singleton detection from a labelled table, MUC,
 B3, LEA and BLANC counts one metric at a time, with a transposed copy of
 the table, and the CEAF matching with a full heap search for every key
-chain.
+chain.  ``jsonl_outcome`` reads jsonl lines by walking what plain
+``json.loads`` decodes, one field check after another.
 Like ``oracles.py``, this module imports no scoring code from the
 package, so the checks against it are not self-comparisons.
 """
@@ -15,6 +16,7 @@ package, so the checks against it are not self-comparisons.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 from types import SimpleNamespace
 
@@ -260,3 +262,98 @@ def align(t, variant: str) -> tuple[list[tuple[int, int]], float]:
                 break
     matched = [(i, j) for i, j in mate.items() if j < dummy]
     return matched, math.fsum(rows[i][j] for i, j in matched)
+
+
+class _Fault(Exception):
+    """A reading error; ``jsonl_outcome`` puts the line in front."""
+
+
+def _json_field(obj: dict, name: str, kind: type):
+    """``obj[name]``, which must be present and of type ``kind`` exactly:
+    ``json.loads`` gives no subclasses, and a bool is no int here."""
+    if name not in obj:
+        raise _Fault(f"missing field {name!r}")
+    value = obj[name]
+    if type(value) is not kind:
+        raise _Fault(
+            f"field {name!r} must be {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
+def _jsonl_record(raw: str, seen: set) -> tuple:
+    try:
+        record = json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        raise _Fault(f"invalid JSON: {exc}") from None
+    if type(record) is not dict:
+        raise _Fault("each record must be an object")
+    doc_id = _json_field(record, "doc_id", str)
+    num_tokens = _json_field(record, "num_tokens", int)
+    raw_chains = _json_field(record, "chains", list)
+    if doc_id in seen:
+        raise _Fault(f"duplicate document id {doc_id!r}")
+    seen.add(doc_id)
+    if num_tokens < 0:
+        raise _Fault(f"num_tokens must be >= 0, got {num_tokens}")
+    chains, owner, named, surfaces = {}, {}, set(), {}
+    for chain in raw_chains:
+        if type(chain) is not dict:
+            raise _Fault("each chain must be an object")
+        chain_id = _json_field(chain, "chain_id", str)
+        if chain_id in chains:
+            raise _Fault(f"duplicate chain id {chain_id!r} in document {doc_id!r}")
+        chains[chain_id] = set()
+        mentions = _json_field(chain, "mentions", list)
+        if not mentions:
+            raise _Fault(f"chain {chain_id!r} has no mentions")
+        for mention in mentions:
+            if type(mention) is not dict:
+                raise _Fault("each mention must be an object")
+            start = _json_field(mention, "start", int)
+            end = _json_field(mention, "end", int)
+            is_named = mention.get("is_named", False)
+            if type(is_named) is not bool:
+                raise _Fault("field 'is_named' must be a boolean")
+            surface = mention.get("surface")
+            if surface is not None and type(surface) is not str:
+                raise _Fault("field 'surface' must be a string")
+            if not 0 <= start <= end < num_tokens:
+                raise _Fault(
+                    f"mention ({start}, {end}) outside document {doc_id!r} "
+                    f"with {num_tokens} tokens"
+                )
+            span = (start, end)
+            if span in owner:  # a repeat in its own chain keeps the first
+                if owner[span] != chain_id:
+                    raise _Fault(
+                        f"span {span} in chains {owner[span]!r} and {chain_id!r} "
+                        f"of document {doc_id!r}"
+                    )
+                continue
+            owner[span] = chain_id
+            chains[chain_id].add(span)
+            if is_named:
+                named.add(span)
+            if surface is not None:
+                surfaces[span] = surface
+    ids = sorted(chains)
+    spans = tuple(tuple(sorted(chains[c])) for c in ids)
+    return doc_id, num_tokens, tuple(ids), spans, named, surfaces
+
+
+def jsonl_outcome(lines) -> str | list[tuple]:
+    """What reading jsonl ``lines`` gives: the first error's text, as
+    ``line N: message``, or for each non-blank line its doc id, token
+    count, sorted chain ids, each chain's sorted spans, the named spans and
+    the span -> surface map.  Document ids are unique across the lines."""
+    seen: set = set()
+    documents = []
+    for lineno, raw in enumerate(lines, 1):
+        if not raw.strip():
+            continue
+        try:
+            documents.append(_jsonl_record(raw, seen))
+        except _Fault as fault:
+            return f"line {lineno}: {fault}"
+    return documents

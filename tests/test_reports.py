@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -378,6 +378,9 @@ REPORT_DATA = st.recursive(
 )
 
 
+# A 2,000-3,000-point series takes about the default 200 ms deadline to
+# render and to dump, so the deadline is off, as in test_fuzz.FUZZ.
+@settings(deadline=None)
 @given(REPORT_DATA)
 def test_json_equals_json_dumps(data):
     """The block-joined rendering is json.dumps' text, non-ASCII included."""

@@ -273,6 +273,30 @@ def test_reading_and_tabling_documents_leaves_no_blocks_behind(fmt):
     assert held[1] - held[0] < 5_000, held
 
 
+# Parsing one jsonl record of 3,900 mentions in 600 chains peaks at 246 to
+# 256 bytes per mention, the partition it returns included, on Python 3.10
+# to 3.13: each mention object of just start and end, all but one here,
+# decodes straight into the span tuple the partition keeps.  Decoded into a
+# dict per mention, held until the document was built, it took 430 to
+# 488 B.  The bound adds a 35% margin.
+PARSE_BYTES_PER_MENTION = 345
+
+
+def test_parsing_a_long_record_holds_no_object_per_mention(record_testsuite_property):
+    text = corpus_text("jsonl", "key", [0], named=0, n_chains=600)
+
+    def parse():
+        return list(iter_jsonl([text]))
+
+    parse()  # first-call caches are not measured
+    gc.collect()
+    documents, peak = _peak(parse)
+    mentions = sum(map(len, documents[0][1].spans))
+    assert mentions > 3_500
+    record_testsuite_property("bytes_per_parsed_mention[jsonl]", round(peak / mentions))
+    assert peak <= PARSE_BYTES_PER_MENTION * mentions, peak
+
+
 LIBRARY_RUNS = {
     "score": score_corpus,
     "stratify": stratify_corpus,

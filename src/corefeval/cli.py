@@ -32,7 +32,7 @@ from .metrics import ALL_METRICS, MetricId
 from .model import Role, SourceFormat
 from .reports import OutputFormat, emit_report
 from .stats import stats_report
-from .stratify import StratumConfig
+from .stratify import NAMELESS_KEY, StratumConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,24 +146,25 @@ def _execute(args: argparse.Namespace) -> str:
     # The library coerces the string flags to their enums; each command reads
     # only the flags its subparser defines, so every default lives there.
     # Every flag is checked before the first file is opened.
-    key_format = args.format or _infer_format(args.key_path)
+    key_fmt = args.format or _infer_format(args.key_path)
     if args.command == "stats":
-        key = read_corpus(args.key_path, key_format, Role.KEY)
+        key = read_corpus(args.key_path, key_fmt, Role.KEY)
         return emit_report(stats_report(key, args.exclude_singletons), args.output)
-    response_format = args.format or _infer_format(args.response_path)
+    response_fmt = args.format or _infer_format(args.response_path)
     if args.command == "stratify":
         stratum_config = StratumConfig(args.long_threshold, args.require_named)
+        if args.require_named and SourceFormat(key_fmt) is SourceFormat.CONLL:
+            warnings.warn(NAMELESS_KEY, UserWarning)  # CoNLL carries no names
+            stratum_config = stratum_config._replace(require_named=False)
     pairs = pair_documents(
-        read_corpus(args.key_path, key_format, Role.KEY),
-        read_corpus(args.response_path, response_format, Role.RESPONSE),
+        read_corpus(args.key_path, key_fmt, Role.KEY),
+        read_corpus(args.response_path, response_fmt, Role.RESPONSE),
     )
     try:
         if args.command == "score":
             report = score_corpus(pairs, args.metrics, args.averaging)
         elif args.command == "stratify":
-            report = stratify_corpus(
-                pairs, stratum_config, args.metrics, args.averaging, key_format=key_format
-            )
+            report = stratify_corpus(pairs, stratum_config, args.metrics, args.averaging)
         else:
             report = pathology_corpus(pairs, args.metrics, args.averaging)
     except DocMismatch as exc:
@@ -178,8 +179,8 @@ def run(args: argparse.Namespace) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             output = _execute(args)
-        # The one warning the library raises, the require_named degrade,
-        # is about the key corpus, so it names the key file.
+        # The one warning, the require_named degrade that _execute or the
+        # library raises, is about the key corpus, so it names the key file.
         for warning in caught:
             print(f"warning: {args.key_path}: {warning.message}", file=sys.stderr)
         try:

@@ -15,9 +15,8 @@ Each document pair gets exactly one overlap table (``metrics.overlap``),
 built when the pair is reached and dropped once its counts are taken:
 ``score`` reads the metrics and tallies off it, ``stratify`` its
 per-stratum projections, leakage, singleton detection and spurious count
-off one walk of its labelled rows (``stratify.split_table``; the
-require_named degrade is decided up front for CoNLL), and ``pathology``
-scores it before and its projection onto every key row after
+off one walk of its labelled rows (``stratify.split_table``), and
+``pathology`` scores it before and its projection onto every key row after
 spurious-mention removal.  No partition is rebuilt on any of these paths.
 
 Each document's counts are one flat record per report label (``score``;
@@ -74,6 +73,7 @@ from .model import (
 )
 from .stats import StatsReport, stats_report
 from .stratify import (
+    NAMELESS_KEY,
     StratifiedReport,
     Stratum,
     StratumConfig,
@@ -261,21 +261,17 @@ def stratify_corpus(
     config: StratumConfig = StratumConfig(),
     metrics: Optional[Iterable[MetricId | str]] = None,
     averaging: Averaging | str = Averaging.MICRO,
-    *,
-    key_format: Optional[SourceFormat | str] = None,
 ) -> StratifiedReport:
     """Corpus-wide stratified report; strata accumulate across documents,
     and macro averages each stratum over the documents that have it.  With
     no named key mention in the corpus, require_named degrades, with a
-    warning, and the report's ``config`` says so.  A CoNLL ``key_format``
-    carries no names, so the degrade is known before the first pair."""
+    warning, and the report's ``config`` says so."""
     wanted = normalize_metrics(metrics)
     averaging = Averaging(averaging)
     # Until a named key span turns up, label as if require_named degraded; a
     # document with a major chain keeps its secondary table and extra leakage
     # under ``config``, scored if a named span turns up and dropped if not.
     named = not config.require_named
-    nameless = key_format is not None and SourceFormat(key_format) is SourceFormat.CONLL
     labelling = config._replace(require_named=False)
     pending: list[tuple[str, dict, Overlap, int]] = []
     columns: dict = {}  # each stratum's, and singleton detection's under None
@@ -294,7 +290,7 @@ def stratify_corpus(
         tables, doc_leakage, detection, cells = split_table(t, labels)
         counts = {s: _doc_counts(u, wanted) for s, u in tables.items()}
         counts[None] = detection
-        if not (named or nameless) and Stratum.MAJOR in tables:
+        if not named and Stratum.MAJOR in tables:
             tables, leaks = split_table(t, chain_strata(p.key, config))[:2]
             extra = (tables[Stratum.SECONDARY], leaks - doc_leakage)
             pending.append((p.key.doc_id, counts, *extra))
@@ -304,12 +300,7 @@ def stratify_corpus(
         spurious += sum(t.response_sizes) - cells
         del p, t, tables  # not held while the next pair is read
     if not named:
-        warnings.warn(
-            "no key mention carries is_named; require_named degraded to false "
-            "for this corpus",
-            UserWarning,
-            stacklevel=2,
-        )
+        warnings.warn(NAMELESS_KEY, UserWarning, stacklevel=2)
     for doc_id, counts, *_ in pending:  # no name seen: the degraded records stand
         _append(columns, doc_id, counts)
     present = [s for s in Stratum if s in columns]

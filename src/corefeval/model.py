@@ -298,7 +298,7 @@ class Partition(Frozen):
             # From a list: see metrics.overlap.
             "spans": tuple([tuple(sorted(built.chains[c])) for c in ids]),
             "named": frozenset(built.named) if built.named else _NO_NAMES,
-            "surfaces": built.surfaces or _NO_SURFACES,
+            "surfaces": MappingProxyType(built.surfaces) if built.surfaces else _NO_SURFACES,
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)

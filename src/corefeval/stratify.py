@@ -12,7 +12,8 @@ key belong to no stratum; their count is reported alongside.
 rows one label), reads the rest off one walk of the rows, grouped by the
 labels.  ``stratum_pairs`` cuts the same strata out of both partitions as
 spans (``model._slice``), the reference the table path is tested against.
-``corpus.stratify_corpus`` holds the require_named degrade.
+``corpus.stratify_corpus`` degrades require_named on an unnamed key, the CLI
+up front on a CoNLL key, which carries no names; both warn ``NAMELESS_KEY``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from typing import Mapping, NamedTuple, Sequence
 from .errors import ModelError
 from .metrics import MetricReport, Overlap, PRCounts
 from .model import Partition, ScoreTriple, _slice, check_same_doc, checked_tuple
+
+NAMELESS_KEY = (
+    "no key mention carries is_named; require_named degraded to false for this corpus"
+)
 
 
 class Stratum(str, Enum):

@@ -32,7 +32,7 @@ SIGNATURES = {
     "corefeval.parse_jsonl": ["lines", "role"],
     "corefeval.pathology_corpus": ["pairs", "metrics", "averaging"],
     "corefeval.score_corpus": ["pairs", "metrics", "averaging"],
-    "corefeval.stratify_corpus": ["pairs", "config", "metrics", "averaging", "key_format"],
+    "corefeval.stratify_corpus": ["pairs", "config", "metrics", "averaging"],
     "corefeval.corpus.score_corpus": ["pairs", "metrics", "averaging"],
     "corefeval.corpus.partition_tallies": ["key", "response"],
     "corefeval.metrics.partition_tallies": ["key", "response"],

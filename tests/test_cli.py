@@ -227,6 +227,22 @@ class TestInputErrors:
         assert rc == 1
         assert err == f"error: {bad}: line {line}: duplicate document id 'd'\n"
 
+    def test_negative_token_count_reports_path_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "negative.jsonl"
+        bad.write_text(
+            '{"doc_id": "d", "num_tokens": 1, "chains": []}\n'
+            '{"doc_id": "e", "num_tokens": -1, "chains": []}\n',
+            encoding="utf-8",
+        )
+        for args in (
+            ["stats", "--key", str(bad)],
+            ["score", "--key", str(bad), "--response", str(bad)],
+        ):
+            assert main(args) == 1
+            assert capsys.readouterr().err == (
+                f"error: {bad}: line 2: num_tokens must be >= 0, got -1\n"
+            )
+
     def test_document_mismatch(self, fixtures_dir, tmp_path, capsys):
         key = fixtures_dir / "derived_key.jsonl"
         longer = tmp_path / "longer.jsonl"
@@ -428,6 +444,21 @@ class TestStratifyCommand:
         captured = capsys.readouterr()
         assert rc == 0
         assert captured.err == ""
+
+    def test_conll_key_that_fails_to_pair_prints_no_warning(
+        self, fixtures_dir, tmp_path, capsys
+    ):
+        """The degrade for a CoNLL key is decided before the first pair,
+        but a run that fails reports only its error."""
+        key = fixtures_dir / "nested_key.conll"
+        response = tmp_path / "other.conll"
+        response.write_text("#begin document other\nw\t-\n#end document\n")
+        rc = main(["stratify", "--key", str(key), "--response", str(response)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {key} and {response}: unpaired")
+        assert "warning" not in captured.err
 
 
 class TestStatsCommand:
@@ -683,3 +714,28 @@ def test_conll_and_its_jsonl_conversion_print_identical_reports(
         printed.append(capsys.readouterr().out)
     assert printed[0] == printed[1]
     assert printed[0].strip()
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("pair", ["conll", "derived"])
+@pytest.mark.parametrize("command", ["score", "stratify", "pathology", "stats"])
+def test_line_endings_print_identical_reports(
+    fixtures_dir, tmp_path, capsys, command, pair, ending
+):
+    """A file with CRLF or lone-CR line endings prints the bytes its LF
+    original prints, on stdout and on stderr (with the file's directory)."""
+    for name in INPUT_PAIRS[pair]:
+        text = (fixtures_dir / name).read_bytes()
+        assert b"\r" not in text
+        (tmp_path / name).write_bytes(text.replace(b"\n", ending.encode()))
+    printed = []
+    for directory in (fixtures_dir, tmp_path):
+        key, response = (str(directory / name) for name in INPUT_PAIRS[pair])
+        args = [command, "--key", key]
+        if command != "stats":
+            args += ["--response", response]
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        printed.append((out, err.replace(str(directory), "{dir}")))
+    assert printed[0] == printed[1]
+    assert printed[0][0].strip()

@@ -226,22 +226,17 @@ class TestLeftToRightSums:
     st.integers(2, 5),
 )
 def test_conll_key_format_gives_the_late_degrade_report(instances, threshold):
-    """An unnamed corpus gives the same report whether the degrade is known
-    before the first pair (a CoNLL key) or found after the last."""
+    """An unnamed corpus gives the same report whether the degrade is made
+    before the first pair (as the CLI does for a CoNLL key) or found after
+    the last."""
     pairs = [make_pair(key, resp, doc=f"d{d}") for d, (key, resp) in enumerate(instances)]
     config = StratumConfig(threshold)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for averaging in Averaging:
             late = stratify_corpus(pairs, config, averaging=averaging)
-            for fmt in (SourceFormat.CONLL, "conll"):
-                early = stratify_corpus(pairs, config, averaging=averaging, key_format=fmt)
-                assert early == late
-
-
-def test_key_format_is_keyword_only():
-    with pytest.raises(TypeError):
-        stratify_corpus(two_doc_pairs(), StratumConfig(), None, "micro", "conll")
+            early_config = config._replace(require_named=False)
+            assert stratify_corpus(pairs, early_config, averaging=averaging) == late
 
 
 class TestEffectiveConfig:

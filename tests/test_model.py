@@ -318,6 +318,31 @@ class TestNoViewLeftBehind:
             assert_cut_from(parsed, part)
 
 
+def _surfaced_partitions():
+    """A partition with a surface, by how it was made."""
+    key, response = metadata_pair()
+    line = (
+        '{"doc_id": "d", "num_tokens": 2, "chains": [{"chain_id": "a", '
+        '"mentions": [{"start": 0, "end": 1, "surface": "Ada"}]}]}'
+    )
+    ((_, parsed),) = parse_jsonl([line], Role.KEY).documents
+    return {
+        "parse_jsonl": parsed,
+        "remove_spurious": remove_spurious(response, key),
+        "Partition": key,
+    }
+
+
+@pytest.mark.parametrize("made_by", sorted(_surfaced_partitions()))
+def test_surfaces_cannot_be_assigned(made_by):
+    part = _surfaced_partitions()[made_by]
+    before = dict(part.surfaces)
+    assert before
+    with pytest.raises(TypeError):
+        part.surfaces[(1, 1)] = "x"
+    assert part.surfaces == before
+
+
 def _record_twins():
     """Two equal instances of every public record type, by type name; the
     Mention and Partition twins differ in their metadata only."""

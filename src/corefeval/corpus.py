@@ -145,15 +145,17 @@ def pair_documents(
                 continue
             other = waiting[1 - side].pop(doc_id)
             (key_doc, key), (resp_doc, resp) = (other, item) if side else (item, other)
-            if key_doc.num_tokens == resp_doc.num_tokens:
-                yield DocPair(key, resp)
+            same = key_doc.num_tokens == resp_doc.num_tokens
+            pair = [DocPair(key, resp)] if same else []
+            del item, other, key, resp  # popped as it is yielded: no name holds the pair
+            if same:
+                yield pair.pop()
             elif mismatch is None or doc_id < mismatch.doc_id:
                 mismatch = DocMismatch(
                     f"document {doc_id!r} has {key_doc.num_tokens} tokens in the key "
                     f"but {resp_doc.num_tokens} in the response",
                     doc_id=doc_id,
                 )
-            del item, other, key_doc, key, resp_doc, resp
     unpaired = [
         f"only in {side}: " + ", ".join(sorted(ids))
         for side, ids in zip(("key", "response"), waiting)
@@ -251,8 +253,10 @@ def score_corpus(
     wanted = normalize_metrics(metrics)
     columns: dict = {}
     for p in pairs:
-        _append(columns, p.key.doc_id, {"score": _doc_counts(overlap(*p), wanted)})
-        del p  # not held while the next pair is read
+        doc_id, t = p.key.doc_id, overlap(*p)
+        del p  # tabled: neither partition is held while the table is scored
+        _append(columns, doc_id, {"score": _doc_counts(t, wanted)})
+        del t  # not held while the next pair is read
     return _reduce(columns, ["score"], wanted, Averaging(averaging))["score"]
 
 
@@ -285,20 +289,25 @@ def stratify_corpus(
                 _append(columns, doc_id, counts)
                 leakage += extra_leakage
             pending = []
-        t = overlap(p.key, p.response)
-        labels = chain_strata(p.key, labelling)
+        doc_id, labels = p.key.doc_id, chain_strata(p.key, labelling)
+        # Strict labels, which differ only for a major chain, read the key: now.
+        strict = None
+        if not named and Stratum.MAJOR in labels:
+            strict = chain_strata(p.key, config)
+        t = overlap(*p)
+        del p  # tabled: neither partition is held while the table is scored
         tables, doc_leakage, detection, cells = split_table(t, labels)
         counts = {s: _doc_counts(u, wanted) for s, u in tables.items()}
         counts[None] = detection
-        if not named and Stratum.MAJOR in tables:
-            tables, leaks = split_table(t, chain_strata(p.key, config))[:2]
+        if strict is not None:
+            tables, leaks = split_table(t, strict)[:2]
             extra = (tables[Stratum.SECONDARY], leaks - doc_leakage)
-            pending.append((p.key.doc_id, counts, *extra))
+            pending.append((doc_id, counts, *extra))
         else:
-            _append(columns, p.key.doc_id, counts)
+            _append(columns, doc_id, counts)
         leakage += doc_leakage
         spurious += sum(t.response_sizes) - cells
-        del p, t, tables  # not held while the next pair is read
+        del t, tables  # not held while the next pair is read
     if not named:
         warnings.warn(NAMELESS_KEY, UserWarning, stacklevel=2)
     for doc_id, counts, *_ in pending:  # no name seen: the degraded records stand
@@ -329,12 +338,13 @@ def pathology_corpus(
     averaging = Averaging(averaging)
     columns: dict = {}
     for p in pairs:
-        t = overlap(p.key, p.response)
+        doc_id, t = p.key.doc_id, overlap(*p)
+        del p  # tabled: neither partition is held while the table is scored
         before = _doc_counts(t, wanted)
         t = split_table(t, [None] * len(t.rows))[0].get(None, Overlap((), (), ()))
         after = _doc_counts(t, wanted)
-        _append(columns, p.key.doc_id, {"before": before, "after": after})
-        del p, t  # not held while the next pair is read
+        _append(columns, doc_id, {"before": before, "after": after})
+        del t  # not held while the next pair is read
     before, after = _reduce(columns, ["before", "after"], wanted, averaging).values()
     deltas = {m: after.scores[m].recall - before.scores[m].recall for m in wanted}
     return PathologyReport(before, after, deltas, before.counts["response_spurious"])

@@ -15,7 +15,8 @@ point up to field ordering.  Mentions decode straight to spans: a mention
 object of just integer ``start`` and ``end`` becomes the ``(start, end)``
 tuple the partition keeps, and goes into the document's ``DocumentBuilder``;
 any other object, a mention with ``is_named`` or ``surface`` included,
-stays a dict and is checked field by field.
+stays a dict and is checked field by field.  A record's line is dropped
+once decoded, before its document is built.
 ``parse_jsonl`` collects what ``iter_jsonl`` yields into a ``CorpusSource``.
 """
 
@@ -36,7 +37,9 @@ def _mention(obj: dict):
     if len(obj) == 2:
         start, end = obj.get("start"), obj.get("end")
         if type(start) is int and type(end) is int:
-            return start, end
+            # One int twice for one token, as in CoNLL: the decoder builds a
+            # new int, of 28 bytes, for each number past 256.
+            return start, start if end == start else end
     return obj
 
 
@@ -57,17 +60,19 @@ def _field(record: dict, name: str, kind: type, lineno: int):
     return value
 
 
-def _parse_record(
-    raw: str, lineno: int, role: Role, seen: set[str]
-) -> Optional[tuple[Document, Partition]]:
+def _decode(raw: str, lineno: int) -> Optional[tuple[object, int]]:
+    """A line's record with its line number; None for a blank line."""
     if not raw.strip():
         return None
     try:
         # Only json.loads rejects a leading BOM, so it reads such a line.
-        record = (json.loads if raw[0] == "\ufeff" else _DECODER.decode)(raw)
+        return (json.loads if raw[0] == "\ufeff" else _DECODER.decode)(raw), lineno
     except (ValueError, RecursionError) as exc:
         # The decoder recurses once per nesting level.
         raise ParseError(f"invalid JSON: {exc}", line=lineno) from None
+
+
+def _build(record, lineno: int, role: Role, seen: set) -> tuple[Document, Partition]:
     if not isinstance(record, (dict, tuple)):
         raise SchemaError("each record must be an object", line=lineno)
     doc_id = _field(record, "doc_id", str, lineno)
@@ -96,7 +101,8 @@ def _parse_record(
             surface = mention.get("surface")
             if surface is not None and not isinstance(surface, str):
                 raise SchemaError("field 'surface' must be a string", line=lineno)
-            doc.add(chain_id, (start, end), lineno, is_named, surface)
+            span = start, start if end == start else end  # one int, as in _mention
+            doc.add(chain_id, span, lineno, is_named, surface)
     return doc.finish(role)
 
 
@@ -104,10 +110,12 @@ def iter_jsonl(
     lines: Iterable[str], role: Role | str = Role.KEY
 ) -> Iterator[tuple[Document, Partition]]:
     """Yield one (Document, Partition) per JSON record; blank lines skipped."""
-    parse = functools.partial(_parse_record, role=Role(role), seen=set())
-    # Unlike a loop variable, map and filter keep no line, record or document
-    # once it is passed on, so none is held while the next one is parsed.
-    yield from filter(None, map(parse, lines, itertools.count(1)))
+    build = functools.partial(_build, role=Role(role), seen=set())
+    # Unlike a loop variable, map, filter and starmap keep no line, record or
+    # document once it is passed on: a line is dropped once decoded, before
+    # its document is built, and none is held while the next one is parsed.
+    records = filter(None, map(_decode, lines, itertools.count(1)))
+    yield from itertools.starmap(build, records)
 
 
 def parse_jsonl(lines: Iterable[str], role: Role | str = Role.KEY) -> CorpusSource:

@@ -264,6 +264,19 @@ def test_same_span_same_chain_collapses():
     assert part.chains[0].mentions[0].is_named is False
 
 
+@pytest.mark.parametrize("extra", [{}, {"is_named": True}], ids=["plain", "named"])
+def test_a_one_token_span_holds_one_int(extra):
+    """The decoder builds a new int object for every number past 256; a
+    one-token span keeps one of them twice, as a CoNLL span does."""
+    mention = {"start": 1000, "end": 1000, **extra}
+    chains = [{"chain_id": "a", "mentions": [mention, {"start": 1000, "end": 1001}]}]
+    _, part = parse_one(record(num_tokens=1002, chains=chains))
+    (one_token, two_tokens), = part.spans
+    assert one_token == (1000, 1000) and one_token[0] is one_token[1]
+    assert two_tokens == (1000, 1001)
+    assert (one_token in part.named) == bool(extra)
+
+
 def test_emit_omits_defaulted_metadata():
     text = emit_text(parse_jsonl([record()]).documents)
     assert "is_named" not in text

@@ -16,6 +16,7 @@ import gc
 import io
 import json
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -273,12 +274,14 @@ def test_reading_and_tabling_documents_leaves_no_blocks_behind(fmt):
     assert held[1] - held[0] < 5_000, held
 
 
-# Parsing one jsonl record of 3,900 mentions in 600 chains peaks at 246 to
-# 256 bytes per mention, the partition it returns included, on Python 3.10
-# to 3.13: each mention object of just start and end, all but one here,
-# decodes straight into the span tuple the partition keeps.  Decoded into a
-# dict per mention, held until the document was built, it took 430 to
-# 488 B.  The bound adds a 35% margin.
+# Parsing one jsonl record of 3,900 mentions in 600 chains from a list of
+# lines, which holds the line throughout, peaks at 221 bytes per mention,
+# the partition it returns included, on Python 3.11: each mention object of
+# just start and end, all but one here, decodes straight into the span
+# tuple the partition keeps, whose one-token spans keep one int.  With two
+# ints per span it took 246 to 256 B on Python 3.10 to 3.13; decoded into
+# a dict per mention, held until the document was built, 430 to 488 B.
+# The bound, unchanged, adds a 35% margin to 256 B.
 PARSE_BYTES_PER_MENTION = 345
 
 
@@ -342,6 +345,73 @@ def test_previous_document_is_dropped_before_the_next_is_parsed(command, tmp_pat
         gc.collect()
         peaks[copies] = _peak(_library_run, command, *paths[copies])[1]
     assert peaks[2] <= 1.1 * peaks[1], peaks
+
+
+@pytest.mark.parametrize("command", LIBRARY_RUNS)
+def test_a_pair_is_released_once_tabled(command, tmp_path, monkeypatch):
+    """Neither partition of a pair is referenced, by the pairing or by the
+    scoring loop, once its table is built, so a long document's spans are
+    not held while its table is scored.  The key names a mention only in
+    its third document, so stratify also scores the tables it held for the
+    documents before it."""
+    docs = range(4)
+    paths = _write(
+        tmp_path,
+        "jsonl",
+        corpus_text("jsonl", "key", docs, named=2),
+        corpus_text("jsonl", "response", docs),
+    )
+    tabled, scored = [], []
+    real_overlap, real_counts = corpus_mod.overlap, corpus_mod._doc_counts
+
+    def spy_overlap(key, response):
+        tabled.extend((weakref.ref(key), weakref.ref(response)))
+        return real_overlap(key, response)
+
+    def spy_counts(t, wanted):
+        scored.append([ref() is not None for ref in tabled])
+        return real_counts(t, wanted)
+
+    monkeypatch.setattr(corpus_mod, "overlap", spy_overlap)
+    monkeypatch.setattr(corpus_mod, "_doc_counts", spy_counts)
+    _library_run(command, *paths)
+    assert len(tabled) == 2 * len(docs)
+    assert scored and not any(map(any, scored)), scored
+
+
+# Read from a file, the 600-chain record's line is dropped once it is
+# decoded, and each one-token span keeps one int: its parse peaks at 224
+# bytes per mention and its partition keeps 112 B (Python 3.11).  Holding
+# the line until the document was built and two ints per span, it took
+# 285 and 138 B.  Each bound adds an 11% margin.
+FILE_PARSE_BYTES_PER_MENTION = 250
+KEPT_BYTES_PER_MENTION = 125
+
+
+def test_reading_a_long_record_from_a_file_holds_no_line(
+    tmp_path, record_testsuite_property
+):
+    path, _ = _write(
+        tmp_path, "jsonl", corpus_text("jsonl", "key", [0], named=0, n_chains=600), ""
+    )
+
+    def parse():
+        return list(read_corpus(path, "jsonl", Role.KEY))
+
+    parse()  # first-call caches are not measured
+    gc.collect()
+    tracemalloc.start()
+    try:
+        documents = parse()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    mentions = sum(map(len, documents[0][1].spans))
+    assert mentions > 3_500
+    record_testsuite_property("bytes_per_parsed_mention[jsonl-file]", round(peak / mentions))
+    record_testsuite_property("bytes_per_kept_mention[jsonl]", round(kept / mentions))
+    assert peak <= FILE_PARSE_BYTES_PER_MENTION * mentions, peak
+    assert kept <= KEPT_BYTES_PER_MENTION * mentions, kept
 
 
 def test_unnamed_conll_never_scores_a_non_degraded_table(tmp_path, monkeypatch, capsys):
